@@ -12,6 +12,8 @@ from .errors import (
     DomainError,
     Infeasible,
     InfeasiblePoint,
+    InvalidValue,
+    LimitExceeded,
     ModulusMismatch,
     NotInvertible,
     NotPrime,

@@ -16,7 +16,7 @@ from math import fsum
 
 import numpy as np
 
-from .errors import NotPrime, OutOfRange
+from .errors import LimitExceeded, NotPrime
 from .numcore import RationalAngle, factorize, is_prime
 
 MAX_CHARACTER_MODULUS = 10**6
@@ -75,7 +75,7 @@ def _check_odd_prime(q):
     if q < 3 or q % 2 == 0 or not is_prime(q):
         raise NotPrime(f"{q} is not an odd prime")
     if q > MAX_CHARACTER_MODULUS:
-        raise OutOfRange(f"character modulus {q} exceeds {MAX_CHARACTER_MODULUS}")
+        raise LimitExceeded(f"character modulus {q} exceeds {MAX_CHARACTER_MODULUS}")
 
 
 @dataclass(frozen=True)

@@ -102,9 +102,10 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"deltasum {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, csv=False):
         p.add_argument("--json", action="store_true", help="emit a single JSON document")
-        p.add_argument("--csv", action="store_true", help="emit one CSV row per case")
+        if csv:  # only sum and verify have a CSV rendering; elsewhere --csv is a usage error
+            p.add_argument("--csv", action="store_true", help="emit one CSV row per case")
         p.add_argument("--no-cache", action="store_true", help="bypass the result cache")
         p.add_argument("--cache-dir", help="cache directory (env DELTASUM_CACHE overrides config)")
         p.add_argument("--config", help="config file with 'key = value' lines")
@@ -118,7 +119,7 @@ def build_parser():
                  "--ell", "--ell-prime"):
         p_sum.add_argument(flag, type=int)
     p_sum.add_argument("--budget", type=int, default=None)
-    add_common(p_sum)
+    add_common(p_sum, csv=True)
 
     p_verify = sub.add_parser("verify", help="run one verification suite")
     p_verify.add_argument("suite", choices=sorted(SUITES))
@@ -128,7 +129,7 @@ def build_parser():
     p_verify.add_argument("--trials", type=int, default=None,
                           help="trial count for the seeded random suites")
     p_verify.add_argument("--tolerance-scale", type=float, default=None)
-    add_common(p_verify)
+    add_common(p_verify, csv=True)
 
     p_opt = sub.add_parser("optimize", help="minimize the max bound exponent")
     group = p_opt.add_mutually_exclusive_group(required=True)

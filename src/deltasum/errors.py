@@ -62,8 +62,18 @@ class Unbounded(DomainError):
     pass
 
 
-class OutOfRange(ComputationError):
-    pass
+class OutOfRange(DeltasumError):
+    """A value outside the supported range; raised as one of the two kinds
+    below, so the CLI can tell a bad argument from a size limit."""
+
+
+class InvalidValue(OutOfRange, DomainError):
+    """An argument outside its mathematical domain (exit code 2)."""
+
+
+class LimitExceeded(OutOfRange, ComputationError):
+    """A size bound (2**31, 2**40, 2**62) or a rounding contract exceeded
+    (exit code 3)."""
 
 
 class BudgetExceeded(ComputationError):

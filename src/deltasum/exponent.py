@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import Infeasible, InfeasiblePoint, OutOfRange, ShapeMismatch, Unbounded
+from .errors import Infeasible, InfeasiblePoint, InvalidValue, ShapeMismatch, Unbounded
 
 VARS = ("xP", "xL", "th")
 
@@ -255,6 +255,13 @@ _RATIONAL = r"[+-]?\d+(?:/\d+)?"
 _TERM_RE = re.compile(rf"^({_RATIONAL})(?:\*(xP|xL|th))?$")
 
 
+def _rational(text, line_no):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise InvalidValue(f"line {line_no}: {text!r} is not a rational number") from None
+
+
 def _parse_linear(text, line_no):
     """Parse 'c + p*xP + l*xL + t*th' into (const, {var: coeff})."""
     normalized = text.replace(" ", "").replace("\t", "")
@@ -268,8 +275,8 @@ def _parse_linear(text, line_no):
             continue
         got = _TERM_RE.match(chunk)
         if not got:
-            raise OutOfRange(f"line {line_no}: cannot parse term {chunk!r}")
-        value = Fraction(got.group(1))
+            raise InvalidValue(f"line {line_no}: cannot parse term {chunk!r}")
+        value = _rational(got.group(1), line_no)
         var = got.group(2)
         if var is None:
             const += value
@@ -296,15 +303,15 @@ def parse_problem_file(text):
         elif line.startswith("st:"):
             body = line[len("st:"):]
             if "<=" not in body:
-                raise OutOfRange(f"line {line_no}: constraint needs '<='")
+                raise InvalidValue(f"line {line_no}: constraint needs '<='")
             lhs, rhs = body.split("<=", 1)
             const, coeffs = _parse_linear(lhs, line_no)
-            bound = Fraction(rhs.replace(" ", "")) - const
+            bound = _rational(rhs.replace(" ", ""), line_no) - const
             cons.append(Constraint(coeffs["xP"], coeffs["xL"], coeffs["th"], bound))
         else:
-            raise OutOfRange(f"line {line_no}: expected 'form:' or 'st:'")
+            raise InvalidValue(f"line {line_no}: expected 'form:' or 'st:'")
     if not forms:
-        raise OutOfRange("problem file defines no forms")
+        raise InvalidValue("problem file defines no forms")
     prob = BoundProblem(tuple(forms), tuple(cons))
     prob.check_feasibility()
     return prob

@@ -11,23 +11,32 @@ Conventions shared by every sum here:
 * the raw direct-summation path is always available next to a closed
   form, and the verification suites compare the two - the closed form is
   never trusted alone.
+
+The raw sums share one array-level layer: a gather builds a summand
+matrix with one row per parameter tuple (kloosterman_terms,
+voronoi_char_sums_raw), and fsum_rows reduces each row.  The scalar
+functions are that layer with a single row.  Sweeps may locate their
+worst case with numpy row sums (ndarray.sum, pairwise order), but those
+sums only pick candidates: every number that is reported still comes
+from the ascending-order fsum route.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 from math import fsum, gcd
 
 import numpy as np
 
-from .characters import unit_roots
+from .characters import enumerate_characters, unit_roots
 from .errors import (
     BudgetExceeded,
+    InvalidValue,
+    LimitExceeded,
     ModulusMismatch,
     NotPrime,
     NotUnit,
-    OutOfRange,
     ParameterInconsistency,
     PrincipalCharacter,
     SharedFactor,
@@ -35,7 +44,9 @@ from .errors import (
 from .numcore import (
     RationalAngle,
     arithmetic_functions,
+    check_modulus,
     euler_phi,
+    factorize,
     is_prime,
     mod_inv,
     mobius,
@@ -43,6 +54,17 @@ from .numcore import (
 
 UNIT_EPS = 2e-15  # per-summand error bound for a tabulated unit-modulus value
 DEFAULT_BUDGET = 10**7
+
+
+def breaks_contract(abs_values, terms, est_errors):
+    """Where the ExpSumValue invariants fail: est_error > 1e-12 * max(terms, 1)
+    or |value| > terms + est_error + 1e-9.  Built from operators only, so
+    it takes scalars or arrays (elementwise)."""
+    return (((est_errors > 1e-12 * terms) & (est_errors > 1e-12))
+            | (abs_values > terms + est_errors + 1e-9))
+
+
+_CONTRACT = "a sum breaks the contract est_error <= 1e-12 * terms, |value| <= terms + est_error"
 
 
 @dataclass(frozen=True)
@@ -57,66 +79,105 @@ class ExpSumValue:
         object.__setattr__(self, "value", complex(self.value))
         object.__setattr__(self, "terms", int(self.terms))
         object.__setattr__(self, "est_error", float(self.est_error))
-        if self.est_error > 1e-12 * max(self.terms, 1):
-            raise OutOfRange("est_error exceeds the 1e-12 * terms contract")
-        if abs(self.value) > self.terms + self.est_error + 1e-9:
-            raise OutOfRange("|value| exceeds terms + est_error")
+        if breaks_contract(abs(self.value), self.terms, self.est_error):
+            raise LimitExceeded(_CONTRACT)
 
 
 def identity_tolerance(total_terms, lhs_abs, rhs_abs, scale=1.0):
     """Allowed |LHS-RHS| for an identity over total_terms roots of unity.
 
     Root-of-unity rounding grows like sqrt(T) in the worst random-walk
-    case, plus a relative guard on the magnitudes themselves.
+    case, plus a relative guard on the magnitudes themselves.  Accepts
+    scalars (returns a float) or arrays (elementwise, with the same IEEE
+    operations, so each entry has the bits of the scalar call).
     """
-    return 1e-6 * math.sqrt(max(total_terms, 1)) * scale + 1e-9 * (lhs_abs + rhs_abs)
+    tol = 1e-6 * np.sqrt(np.maximum(total_terms, 1)) * scale + 1e-9 * (lhs_abs + rhs_abs)
+    return tol if np.ndim(tol) else float(tol)
 
 
-def _fsum_complex(terms):
-    return complex(fsum(terms.real.tolist()), fsum(terms.imag.tolist()))
+def fsum_rows(terms):
+    """math.fsum of each row of a 2-D complex array, real and imaginary
+    parts apart.  fsum is correctly rounded, so a row's value does not
+    depend on the order of its terms."""
+    return [complex(fsum(re), fsum(im))
+            for re, im in zip(terms.real.tolist(), terms.imag.tolist())]
 
 
-_units_cache = {}
+def check_rows(values, terms, est_error):
+    """The ExpSumValue invariants over a batch of row values that is not
+    wrapped in ExpSumValue objects."""
+    if breaks_contract(np.abs(values), terms, est_error).any():
+        raise LimitExceeded(_CONTRACT)
 
 
+_POW_CHUNK = 1 << 18  # bounds the temporaries of the inverse-table pass
+
+
+def _pow_mod(base, e, c):
+    """base**e mod c elementwise by square-and-multiply in int64; with
+    c <= 2**31 every product stays below 2**62."""
+    result = np.ones_like(base)
+    while e:
+        if e & 1:
+            result = result * base % c
+        e >>= 1
+        if e:
+            base = base * base % c
+    return result
+
+
+@functools.lru_cache(maxsize=256)
 def units_and_inverses(c):
     """(units mod c ascending, their inverses), cached per modulus.
 
-    For c = 1 the single residue 0 counts as the unit with inverse 0, so
-    empty-modulus sums come out as a single e(0) term.
+    Units come from sieving out the prime factors of c, and the inverse
+    table from one vectorised pass x**(phi(c) - 1) mod c.  For c = 1 the
+    single residue 0 counts as the unit with inverse 0, so empty-modulus
+    sums come out as a single e(0) term.
     """
-    cached = _units_cache.get(c)
-    if cached is not None:
-        return cached
+    check_modulus(c)
     if c == 1:
         xs = np.array([0], dtype=np.int64)
         inv = np.array([0], dtype=np.int64)
     else:
-        mask = np.gcd(np.arange(c, dtype=np.int64), c) == 1
-        xs = np.nonzero(mask)[0].astype(np.int64)
-        inv = np.array([pow(int(x), -1, c) for x in xs], dtype=np.int64)
+        mask = np.ones(c, dtype=bool)
+        for p, _ in factorize(c).factors:
+            mask[::p] = False
+        xs = np.flatnonzero(mask).astype(np.int64, copy=False)
+        inv = np.empty_like(xs)
+        for lo in range(0, xs.size, _POW_CHUNK):
+            inv[lo:lo + _POW_CHUNK] = _pow_mod(xs[lo:lo + _POW_CHUNK], xs.size - 1, c)
     xs.setflags(write=False)
     inv.setflags(write=False)
-    if len(_units_cache) > 256:
-        _units_cache.clear()
-    _units_cache[c] = (xs, inv)
     return xs, inv
 
 
 def _check_budget(c, budget):
     if c < 1:
-        raise OutOfRange(f"modulus must be positive, got {c}")
+        raise InvalidValue(f"modulus must be positive, got {c}")
     if c > budget:
         raise BudgetExceeded(f"modulus {c} exceeds the summation budget {budget}")
 
 
-def kloosterman(m, n, c, budget=DEFAULT_BUDGET):
-    """S(m, n; c) = sum over units x mod c of e((m x + n x^-1)/c)."""
+def kloosterman_terms(ms, ns, c, budget=DEFAULT_BUDGET):
+    """Summands of S(m, n; c) for every pair (m, n) of ms, ns at once.
+
+    Row i holds e((m_i x + n_i x^-1)/c) over the units x mod c ascending;
+    reduce it with fsum_rows for the reported value.
+    """
     _check_budget(c, budget)
     xs, inv = units_and_inverses(c)
-    idx = ((m % c) * xs + (n % c) * inv) % c
-    terms = unit_roots(c)[idx]
-    return ExpSumValue(_fsum_complex(terms), xs.size, UNIT_EPS * xs.size)
+    # In place: fresh temporaries of this size cost more than the arithmetic.
+    idx = np.multiply.outer(np.array([m % c for m in ms], dtype=np.int64), xs)
+    idx += np.multiply.outer(np.array([n % c for n in ns], dtype=np.int64), inv)
+    idx %= c
+    return unit_roots(c)[idx]
+
+
+def kloosterman(m, n, c, budget=DEFAULT_BUDGET):
+    """S(m, n; c) = sum over units x mod c of e((m x + n x^-1)/c)."""
+    terms = kloosterman_terms((m,), (n,), c, budget)
+    return ExpSumValue(fsum_rows(terms)[0], terms.shape[1], UNIT_EPS * terms.shape[1])
 
 
 def twisted_kloosterman(psi, m, n, c, budget=DEFAULT_BUDGET):
@@ -129,17 +190,16 @@ def twisted_kloosterman(psi, m, n, c, budget=DEFAULT_BUDGET):
     p = psi.modulus
     if c % p != 0:
         raise ModulusMismatch(f"character modulus {p} does not divide {c}")
-    _check_budget(c, budget)
-    xs, inv = units_and_inverses(c)
-    idx = ((m % c) * xs + (n % c) * inv) % c
-    terms = psi.value_array()[xs % p] * unit_roots(c)[idx]
-    return ExpSumValue(_fsum_complex(terms), xs.size, 2 * UNIT_EPS * xs.size)
+    terms = kloosterman_terms((m,), (n,), c, budget)
+    xs, _ = units_and_inverses(c)
+    terms = psi.value_array()[xs % p] * terms
+    return ExpSumValue(fsum_rows(terms)[0], xs.size, 2 * UNIT_EPS * xs.size)
 
 
 def ramanujan_sum(q, n):
     """c_q(n) by the closed form mu(q/g) * phi(q) / phi(q/g), g = gcd(n, q)."""
     if q < 1:
-        raise OutOfRange("q must be positive")
+        raise InvalidValue("q must be positive")
     g = gcd(n, q)
     phi_q, _, _ = arithmetic_functions(q)
     qg = q // g
@@ -163,7 +223,7 @@ def d_sum(u, M, chi):
     inv_b = inv[bs - 1]  # inverses of 2..M-1 (units array skips 0)
     chib = np.conj(chi.value_array())[bs - 1]
     terms = chib * unit_roots(M)[((inv_b - 1) * (u % M)) % M]
-    return ExpSumValue(_fsum_complex(terms), M - 2, 2 * UNIT_EPS * (M - 2))
+    return ExpSumValue(fsum_rows(terms[None])[0], M - 2, 2 * UNIT_EPS * (M - 2))
 
 
 @dataclass(frozen=True)
@@ -178,7 +238,7 @@ class PsiAverageParams:
 
     def __post_init__(self):
         if min(self.r, self.m, self.c) < 1:
-            raise OutOfRange("r, m, c must be positive")
+            raise InvalidValue("r, m, c must be positive")
         for q in (self.p, self.M):
             if q % 2 == 0 or not is_prime(q):
                 raise NotPrime(f"{q} is not an odd prime")
@@ -186,23 +246,35 @@ class PsiAverageParams:
             raise ParameterInconsistency("p and M must be distinct primes")
 
 
-def psi_average_raw(params, budget=DEFAULT_BUDGET):
-    """sum over psi mod p of (1 - psi(-1)) S_psi(r, m; cpM), directly."""
-    from .characters import enumerate_characters
+@functools.lru_cache(maxsize=64)
+def _odd_character_table(p):
+    """psi(x) for x = 0..p-1, one row per odd character mod p, by index."""
+    table = np.array([psi.value_array() for psi in enumerate_characters(p) if psi.parity() == -1])
+    table.setflags(write=False)
+    return table
 
-    c_total = params.c * params.p * params.M
-    _check_budget(c_total, budget)
+
+def psi_average_raw(params, budget=DEFAULT_BUDGET):
+    """sum over psi mod p of (1 - psi(-1)) S_psi(r, m; cpM), directly.
+
+    One characters x units matrix holds the summands of every odd
+    character (the even ones carry weight 0); its rows are reduced with
+    fsum and accumulated in character order.
+    """
+    p = params.p
+    c_total = params.c * p * params.M
+    summands = kloosterman_terms((params.r,), (params.m,), c_total, budget)
+    xs, _ = units_and_inverses(c_total)
+    values = fsum_rows(_odd_character_table(p)[:, xs % p] * summands)
+    row_est = 2 * UNIT_EPS * xs.size  # twisted_kloosterman's bound for one character
+    check_rows(values, xs.size, row_est)
     total = 0j
-    terms = 0
     est = 0.0
-    for psi in enumerate_characters(params.p):
-        weight = 1 - psi.parity()
-        s = twisted_kloosterman(psi, params.r, params.m, c_total, budget)
-        terms += s.terms
-        if weight:
-            total += weight * s.value
-            est += weight * s.est_error
-    return ExpSumValue(total, (params.p - 1) * euler_phi(c_total), est + UNIT_EPS * terms)
+    for value in values:
+        total += 2 * value
+        est += 2 * row_est
+    count = (p - 1) * xs.size
+    return ExpSumValue(total, count, est + UNIT_EPS * count)
 
 
 def psi_average_closed(params, budget=DEFAULT_BUDGET):
@@ -305,15 +377,16 @@ def c4_correlation(c2, q2_tilde, p, p_prime, q1, m_dprime, M, h, n,
     row2 = _kloosterman_row(m2, mod2)
     a = np.arange(big, dtype=np.int64)
     terms = row1[t1 * a % mod1] * row2[t2 * a % mod2] * unit_roots(big)[(n % big) * a % big]
-    value = _fsum_complex(terms)
+    value = fsum_rows(terms[None])[0]
     phi1 = units_and_inverses(mod1)[0].size
     phi2 = units_and_inverses(mod2)[0].size
     count = int(big * phi1 * phi2)
     return ExpSumValue(value, count, 4 * UNIT_EPS * count)
 
 
-def _voronoi_setup(n, m, m_prime, c, d, r, ell, M):
-    if min(n, m, m_prime, c, d, r, ell, M) < 1:
+def _voronoi_setup(ns, rs, m, m_prime, c, d, ell, M):
+    """Validate one (m, m', c, d, ell, M) group for every n in ns and r in rs."""
+    if min(min(ns), min(rs), m, m_prime, c, d, ell, M) < 1:
         raise ParameterInconsistency("all parameters must be positive")
     if c % d != 0:
         raise ParameterInconsistency(f"d = {d} does not divide c = {c}")
@@ -330,23 +403,52 @@ def _voronoi_setup(n, m, m_prime, c, d, r, ell, M):
     return cc, c1
 
 
+def voronoi_char_sums_raw(ns, rs, m, m_prime, c, d, ell, M, budget=DEFAULT_BUDGET):
+    """The raw beta-sums of one (m, m', c, d, ell, M) group, every (r, n) at once.
+
+    Returns (values, counts): values[i, j] is the sum at r = rs[i],
+    n = ns[j], and counts[i] the number of units beta kept for rs[i].  The
+    summands e(beta^-1 n / (m*c/m')) of every unit and every n form one
+    gather, with the units grouped by the class of beta*m' mod c/d.  The
+    congruence for r keeps exactly one class, a block of columns, whose
+    rows are reduced with fsum; fsum is order-free, so regrouping the units
+    leaves every value bit for bit as in ascending order.
+    """
+    _voronoi_setup(ns, rs, m, m_prime, c, d, ell, M)
+    modulus = m * c // m_prime
+    cc = c // d
+    _check_budget(modulus, budget)
+    xs, inv = units_and_inverses(modulus)
+    classes = (xs * (m_prime % cc)) % cc
+    order = np.argsort(classes, kind="stable")
+    bounds = np.searchsorted(classes[order], np.arange(cc + 1)).tolist()
+    n_col = np.array([n % modulus for n in ns], dtype=np.int64)[:, None]
+    summands = unit_roots(modulus)[(inv[order] * n_col) % modulus]
+    m_bar = mod_inv(M, cc)
+    by_class = {}
+    values, counts = [], []
+    for r in rs:
+        j = (-r * ell * m_bar) % cc
+        lo, hi = bounds[j], bounds[j + 1]
+        if j not in by_class:
+            by_class[j] = fsum_rows(summands[:, lo:hi])
+        values.append(by_class[j])
+        counts.append(hi - lo)
+    values = np.array(values, dtype=np.complex128).reshape(len(rs), len(ns))
+    counts = np.array(counts, dtype=np.int64)
+    check_rows(values, counts[:, None], UNIT_EPS * np.maximum(counts, 1)[:, None])
+    return values, counts
+
+
 def voronoi_char_sum_raw(n, m, m_prime, c, d, r, ell, M, budget=DEFAULT_BUDGET):
     """The beta-sum produced by Voronoi summation, by direct enumeration.
 
     sum over units beta mod m*c/m' subject to r*ell*M^-1 + beta*m' = 0
     mod c/d, of e(beta^-1 n / (m*c/m')).
     """
-    _voronoi_setup(n, m, m_prime, c, d, r, ell, M)
-    modulus = m * c // m_prime
-    cc = c // d
-    _check_budget(modulus, budget)
-    xs, inv = units_and_inverses(modulus)
-    if cc > 1:
-        residue = (-r * ell * mod_inv(M, cc)) % cc
-        keep = (xs * (m_prime % cc)) % cc == residue
-        xs, inv = xs[keep], inv[keep]
-    terms = unit_roots(modulus)[(inv * (n % modulus)) % modulus]
-    return ExpSumValue(_fsum_complex(terms), int(xs.size), UNIT_EPS * max(int(xs.size), 1))
+    values, counts = voronoi_char_sums_raw((n,), (r,), m, m_prime, c, d, ell, M, budget)
+    k = int(counts[0])
+    return ExpSumValue(values[0, 0], k, UNIT_EPS * max(k, 1))
 
 
 def _c2_part(q, c2):
@@ -360,8 +462,11 @@ def _c2_part(q, c2):
     return out
 
 
-def voronoi_char_sum_closed(n, m, m_prime, c, d, r, ell, M):
-    """Closed form of the beta-sum: 0 off the divisibility strata, else
+def voronoi_char_sums_closed(ns, rs, m, m_prime, c, d, ell, M):
+    """Closed forms of the beta-sums of one group: values[i, j] at r = rs[i],
+    n = ns[j].  Every summand count is m*c/m'.
+
+    Each value is 0 off the divisibility strata, else
     q2 * c_{q1}(n) * e(-(r' ell)^-1 m'' M (n/q2) q1^-1 / c2).
 
     Writes c/d = c1*c2 with c1 = gcd(m', c/d), m'' = m'/c1, q = m*d/m''
@@ -369,9 +474,10 @@ def voronoi_char_sum_closed(n, m, m_prime, c, d, r, ell, M):
     Vanishes unless c1 | r and q2 | n (and unless the congruence is
     solvable at all, which needs gcd(r' ell, c2) = 1).  All inverses in
     the phase are taken mod c2; this is the exact CRT evaluation of the
-    raw sum.
+    raw sum.  The Ramanujan factors and the roots e(j/c2) depend on n or
+    on the group only, so they are computed once per group.
     """
-    cc, c1 = _voronoi_setup(n, m, m_prime, c, d, r, ell, M)
+    cc, c1 = _voronoi_setup(ns, rs, m, m_prime, c, d, ell, M)
     c2 = cc // c1
     m_dp = m_prime // c1
     if (m * d) % m_dp != 0:
@@ -379,22 +485,26 @@ def voronoi_char_sum_closed(n, m, m_prime, c, d, r, ell, M):
     q = m * d // m_dp
     q2 = _c2_part(q, c2)
     q1 = q // q2
+    ramanujan = {n: ramanujan_sum(q1, n) for n in ns if n % q2 == 0}
+    roots = [RationalAngle(j, c2).to_complex() for j in range(c2)]
+    q1_bar = mod_inv(q1, c2)
+    values = np.zeros((len(rs), len(ns)), dtype=np.complex128)
+    for i, r in enumerate(rs):
+        r_p = r // c1
+        if r % c1 != 0 or (c2 > 1 and gcd(r_p * ell, c2) != 1):
+            continue
+        g0 = (-mod_inv(r_p * ell, c2) * m_dp * M) % c2 if c2 > 1 else 0
+        values[i] = [q2 * ramanujan[n] * roots[g0 * (n // q2) * q1_bar % c2]
+                     if n in ramanujan else 0j for n in ns]
     terms = m * c // m_prime
-    if r % c1 != 0:
-        return ExpSumValue(0j, terms, 0.0)
-    r_p = r // c1
-    if c2 > 1 and gcd(r_p * ell, c2) != 1:
-        return ExpSumValue(0j, terms, 0.0)
-    if n % q2 != 0:
-        return ExpSumValue(0j, terms, 0.0)
-    g = gcd(n, q1)
-    ram = mobius(q1 // g) * euler_phi(q1) // euler_phi(q1 // g)
-    if c2 > 1:
-        g0 = (-mod_inv(r_p * ell, c2) * m_dp * M) % c2
-        phase = RationalAngle(g0 * (n // q2) * mod_inv(q1, c2), c2).to_complex()
-    else:
-        phase = 1.0 + 0j
-    value = q2 * ram * phase
+    check_rows(values, terms, np.minimum(UNIT_EPS * np.abs(values), 1e-12 * terms))
+    return values
+
+
+def voronoi_char_sum_closed(n, m, m_prime, c, d, r, ell, M):
+    """Closed form of the beta-sum; see voronoi_char_sums_closed."""
+    value = complex(voronoi_char_sums_closed((n,), (r,), m, m_prime, c, d, ell, M)[0, 0])
+    terms = m * c // m_prime
     return ExpSumValue(value, terms, min(UNIT_EPS * abs(value), 1e-12 * terms))
 
 

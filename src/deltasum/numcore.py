@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NotInvertible, OutOfRange
+from .errors import InvalidValue, LimitExceeded, NotInvertible
 
 MAX_MODULUS = 1 << 31
 MAX_FACTOR_INPUT = 1 << 40
@@ -22,9 +22,9 @@ TAU = 2.0 * math.pi
 
 def check_modulus(m, what="modulus"):
     if m < 1:
-        raise OutOfRange(f"{what} must be positive, got {m}")
+        raise InvalidValue(f"{what} must be positive, got {m}")
     if m > MAX_MODULUS:
-        raise OutOfRange(f"{what} {m} exceeds the supported bound 2**31")
+        raise LimitExceeded(f"{what} {m} exceeds the supported bound 2**31")
     return m
 
 
@@ -54,9 +54,9 @@ class Factorization:
 
 def factorize(n):
     if n < 1:
-        raise OutOfRange(f"cannot factor {n}")
+        raise InvalidValue(f"cannot factor {n}")
     if n > MAX_FACTOR_INPUT:
-        raise OutOfRange(f"{n} exceeds the factorization bound 2**40")
+        raise LimitExceeded(f"{n} exceeds the factorization bound 2**40")
     m = n
     factors = []
     for p in (2, 3):
@@ -120,7 +120,7 @@ def is_prime(n):
     if n < 2:
         return False
     if n > MAX_FACTOR_INPUT:
-        raise OutOfRange(f"{n} exceeds the primality bound 2**40")
+        raise LimitExceeded(f"{n} exceeds the primality bound 2**40")
     if n % 2 == 0:
         return n == 2
     if n % 3 == 0:
@@ -146,7 +146,7 @@ def p_star(P):
     family built from odd characters.
     """
     if P < 1:
-        raise OutOfRange("P must be positive")
+        raise InvalidValue("P must be positive")
     return sum(p - 1 for p in primes_between(P, 2 * P))
 
 
@@ -164,13 +164,13 @@ class RationalAngle:
 
     def __post_init__(self):
         if self.denominator < 1:
-            raise OutOfRange("denominator must be positive")
+            raise InvalidValue("denominator must be positive")
         num = self.numerator % self.denominator
         g = math.gcd(num, self.denominator)
         num //= g
         den = self.denominator // g
         if den > MAX_DENOMINATOR:
-            raise OutOfRange(f"denominator {den} exceeds 2**62")
+            raise LimitExceeded(f"denominator {den} exceeds 2**62")
         object.__setattr__(self, "numerator", num)
         object.__setattr__(self, "denominator", den)
 
@@ -180,17 +180,10 @@ class RationalAngle:
     def is_zero(self):
         return self.numerator == 0
 
-    def to_float(self):
-        return self.numerator / self.denominator
-
     def to_complex(self):
         """e(x) = exp(2*pi*i*x), evaluated from the reduced fraction."""
         t = TAU * self.numerator / self.denominator
         return complex(math.cos(t), math.sin(t))
-
-
-def angle(numerator, denominator):
-    return RationalAngle(numerator, denominator)
 
 
 def angle_add(a, b):
@@ -199,8 +192,3 @@ def angle_add(a, b):
     den = a.denominator // g * b.denominator
     num = a.numerator * (b.denominator // g) + b.numerator * (a.denominator // g)
     return RationalAngle(num, den)
-
-
-def e_of(num, den):
-    """exp(2*pi*i*num/den) with the argument reduced exactly mod 1."""
-    return RationalAngle(num, den).to_complex()

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfRange, QuadratureNonConvergence
+from .errors import InvalidValue, QuadratureNonConvergence
 from .scan import ScanReport
 
 MAX_BESSEL_ORDER = 200
@@ -96,10 +96,10 @@ def _hankel_j(nu, x):
 def bessel_j(nu, x):
     """J_nu(x) for integer 0 <= nu <= 200 and real x >= 0."""
     if not isinstance(nu, (int, np.integer)) or nu < 0 or nu > MAX_BESSEL_ORDER:
-        raise OutOfRange(f"order must be an integer in [0, {MAX_BESSEL_ORDER}], got {nu}")
+        raise InvalidValue(f"order must be an integer in [0, {MAX_BESSEL_ORDER}], got {nu}")
     x = float(x)
     if x < 0 or not math.isfinite(x):
-        raise OutOfRange(f"argument must be finite and >= 0, got {x}")
+        raise InvalidValue(f"argument must be finite and >= 0, got {x}")
     if x == 0.0:
         return 1.0 if nu == 0 else 0.0
     if x * x <= 4.0 * (nu + 1):
@@ -133,9 +133,9 @@ class WindowFunction:
 
     def __post_init__(self):
         if self.kind not in ("bump", "plateau"):
-            raise OutOfRange(f"unknown window kind {self.kind!r}")
+            raise InvalidValue(f"unknown window kind {self.kind!r}")
         if self.theta < 0:
-            raise OutOfRange("theta must be nonnegative")
+            raise InvalidValue("theta must be nonnegative")
 
     def support(self, M):
         if self.kind == "bump":
@@ -176,9 +176,9 @@ class IntegralParams:
 
     def __post_init__(self):
         if min(self.N, self.n, self.p, self.ell, self.c, self.M, self.m) <= 0:
-            raise OutOfRange("all parameters must be positive")
+            raise InvalidValue("all parameters must be positive")
         if self.k < 7 or self.k % 4 != 3:
-            raise OutOfRange("the weight k must be >= 7 with k = 3 mod 4")
+            raise InvalidValue("the weight k must be >= 7 with k = 3 mod 4")
 
 
 def _gauss_nodes():
@@ -258,16 +258,16 @@ def transition_cutoff(N, L, P, M, m=1, eps=0.01, mode="bessel-c", theta=None):
     that bracket the surviving dual r-range.
     """
     if min(N, L, P, M, m) <= 0:
-        raise OutOfRange("all parameters must be positive")
+        raise InvalidValue("all parameters must be positive")
     if mode == "bessel-c":
         return N * L * M**eps / (P * M * m)
     if mode == "voronoi-r":
         if theta is None:
-            raise OutOfRange("mode voronoi-r needs theta")
+            raise InvalidValue("mode voronoi-r needs theta")
         lower = M**2 * P / (N * L * M**eps)
         upper = M ** (2 + 4 * theta) * M**eps * P / (N * L)
         return lower, upper
-    raise OutOfRange(f"unknown mode {mode!r}")
+    raise InvalidValue(f"unknown mode {mode!r}")
 
 
 def poisson_length(N, L, C, P, m=1, eps=0.01, n0=1.0):

@@ -91,6 +91,48 @@ def test_domain_error_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("sum", "kloosterman", "--m", "1", "--n", "1", "--c", "0"),
+    ("sum", "ramanujan", "--q", "0", "--n", "1"),
+    ("bessel", "--nu", "300", "--x", "1.0"),
+    ("bessel", "--nu", "2", "--x", "nan"),
+    ("integral", "--preset", "toy", "--c", "0"),
+])
+def test_invalid_value_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv, "--no-cache")
+    assert code == 2, err
+    assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("line", ["form: 1/2 + 1/2*xP + 0*xL + 9*zz",
+                                  "form: 1/0 + 1*xP",
+                                  "st: 1*xP + 0*xL + 0*th <= 1/0",
+                                  "bound: 1*xP"])
+def test_malformed_problem_line_exits_2(capsys, tmp_path, line):
+    problem = tmp_path / "bad.prob"
+    problem.write_text(line + "\n")
+    code, out, err = run(capsys, "optimize", "--problem", str(problem), "--no-cache")
+    assert code == 2, err
+    assert out == "" and "line 1" in err
+
+
+def test_size_limit_still_exits_3(capsys):
+    code, _, err = run(capsys, "sum", "kloosterman", "--m", "1", "--n", "1",
+                       "--c", str(2**31 + 1), "--budget", str(2**32), "--no-cache")
+    assert code == 3
+    assert "2**31" in err
+
+
+@pytest.mark.parametrize("argv", [("optimize", "--paper"),
+                                  ("bessel", "--nu", "2", "--x", "1.0"),
+                                  ("integral", "--preset", "toy", "--c", "200.0")])
+def test_csv_rejected_where_unsupported(capsys, argv):
+    code, out, err = run(capsys, *argv, "--csv")
+    assert code == 2
+    assert out == "" and "--csv" in err
+    assert not os.path.exists(os.environ["DELTASUM_CACHE"])
+
+
 def test_optimize_paper_exact(capsys):
     code, out, _ = run(capsys, "optimize", "--paper", "--exact")
     assert code == 0

@@ -1,0 +1,108 @@
+"""Property-based checks of the Kloosterman identities and of the batched
+kernels (kloosterman_terms, voronoi_char_sums_raw) against a pure-Python
+direct sum over the units, within identity_tolerance."""
+
+import cmath
+import math
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from deltasum.expsums import (
+    fsum_rows,
+    identity_tolerance,
+    kloosterman,
+    kloosterman_terms,
+    voronoi_char_sums_closed,
+    voronoi_char_sums_raw,
+)
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
+
+moduli = st.integers(min_value=1, max_value=400)
+residues = st.integers(min_value=-10**6, max_value=10**6)
+
+
+def e(num, den):
+    return cmath.exp(2j * math.pi * (num % den) / den)
+
+
+def direct_kloosterman(m, n, c):
+    """S(m, n; c) term by term; for c = 1 the residue 0 is the one unit."""
+    units = [x for x in range(c) if math.gcd(x, c) == 1]
+    return sum(e(m * x + n * pow(x, -1, c), c) for x in units), len(units)
+
+
+@PROPERTY_SETTINGS
+@given(residues, residues, moduli)
+def test_kloosterman_symmetric_in_m_and_n(m, n, c):
+    # x -> x^-1 permutes the units, so both sides reduce the same multiset
+    # of table entries; fsum is correctly rounded, so the bits agree.
+    assert kloosterman(m, n, c).value == kloosterman(n, m, c).value
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=60),
+       residues, residues)
+def test_kloosterman_twisted_multiplicativity(c1, c2, m, n):
+    assume(math.gcd(c1, c2) == 1)
+    lhs = kloosterman(m, n, c1 * c2).value
+    c2b, c1b = pow(c2, -1, c1), pow(c1, -1, c2)
+    rhs = (kloosterman(c2b * m, c2b * n, c1).value
+           * kloosterman(c1b * m, c1b * n, c2).value)
+    assert abs(lhs - rhs) <= identity_tolerance(3 * c1 * c2, abs(lhs), abs(rhs))
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.tuples(residues, residues), min_size=1, max_size=6), moduli)
+def test_batched_kloosterman_rows_match_direct_sum(pairs, c):
+    ms, ns = zip(*pairs)
+    rows = fsum_rows(kloosterman_terms(ms, ns, c))
+    for (m, n), got in zip(pairs, rows):
+        want, count = direct_kloosterman(m, n, c)
+        assert abs(got - want) <= identity_tolerance(2 * count, abs(got), abs(want))
+        assert got == kloosterman(m, n, c).value
+
+
+@st.composite
+def voronoi_groups(draw):
+    """One admissible (m, m', c, d, ell, M) group, as the voronoi-char suite
+    builds them."""
+    m = draw(st.integers(min_value=1, max_value=4))
+    c = draw(st.integers(min_value=1, max_value=30))
+    d = draw(st.sampled_from([x for x in range(1, c + 1) if c % x == 0]))
+    m_prime = draw(st.sampled_from([x for x in range(1, 13) if (m * c) % x == 0]))
+    c1 = math.gcd(m_prime, c // d)
+    ell = draw(st.sampled_from([x for x in (2, 3, 5, 7) if c1 % x != 0]))
+    M = draw(st.sampled_from([x for x in (13, 29, 31) if math.gcd(x, c) == 1]))
+    return m, m_prime, c, d, ell, M
+
+
+def direct_beta_sum(n, m, m_prime, c, d, r, ell, M):
+    """sum over units beta mod m*c/m' with r*ell*M^-1 + beta*m' = 0 mod c/d
+    of e(beta^-1 n / (m*c/m')), term by term."""
+    modulus, cc = m * c // m_prime, c // d
+    m_bar = pow(M, -1, cc)
+    kept = [b for b in range(modulus) if math.gcd(b, modulus) == 1
+            and (r * ell * m_bar + b * m_prime) % cc == 0]
+    return sum(e(pow(b, -1, modulus) * n, modulus) for b in kept), len(kept)
+
+
+@PROPERTY_SETTINGS
+@given(voronoi_groups(),
+       st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=5),
+       st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=5))
+def test_voronoi_group_rows_match_direct_sum(group, ns, rs):
+    m, m_prime, c, d, ell, M = group
+    raw, counts = voronoi_char_sums_raw(ns, rs, *group)
+    closed = voronoi_char_sums_closed(ns, rs, *group)
+    for i, r in enumerate(rs):
+        for j, n in enumerate(ns):
+            want, count = direct_beta_sum(n, m, m_prime, c, d, r, ell, M)
+            assert counts[i] == count
+            for got in (raw[i, j], closed[i, j]):
+                assert abs(got - want) <= identity_tolerance(
+                    count + m * c // m_prime, abs(got), abs(want))

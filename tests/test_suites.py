@@ -1,8 +1,10 @@
 import csv
 import json
+import math
 
 import pytest
 
+from deltasum.expsums import voronoi_char_sum_closed
 from deltasum.scan import Lcg, ScanReport, append_ledger
 from deltasum.suites import (
     SMOKE_OVERRIDES,
@@ -140,3 +142,51 @@ def test_c3_suite_records_observed_ceiling():
 
 def test_smoke_overrides_cover_every_suite():
     assert set(SMOKE_OVERRIDES) == set(SUITES)
+
+
+# The batched sweeps must report exactly what the case-by-case sweeps they
+# replaced report; these loops are those sweeps, kept as the reference.
+
+@pytest.mark.parametrize("seed", [1, 11])
+def test_weil_sweep_matches_case_by_case_reference(seed):
+    grid = SMOKE_OVERRIDES["weil"]
+    rng = Lcg(seed)
+    worst, witness = 0.0, None
+    for c in range(1, grid["c_max"] + 1):
+        for _ in range(grid["pairs_per_c"]):
+            m = 1 + rng.below(10**6)
+            n = 1 + rng.below(10**6)
+            dev = weil_case(m, n, c)
+            if dev > worst:
+                worst, witness = dev, (m, n, c)
+    report = run_suite("weil", preset="smoke", seed=seed)
+    assert (report.max_deviation, tuple(report.worst_witness)) == (worst, witness)
+    assert report.cases == grid["c_max"] * grid["pairs_per_c"]
+
+
+def test_voronoi_sweep_matches_case_by_case_reference():
+    grid = {"m_max": 2, "c_max": 8, "m_prime_max": 8, "ell": [3, 5], "M": [13],
+            "r_max": 5, "n_max": 5}
+    worst, witness, cases, vanishing = 0.0, None, 0, 0
+    for m in range(1, grid["m_max"] + 1):
+        for c in range(1, grid["c_max"] + 1):
+            for d in [x for x in range(1, c + 1) if c % x == 0]:
+                for m_prime in [x for x in range(1, grid["m_prime_max"] + 1)
+                                if (m * c) % x == 0]:
+                    for ell in grid["ell"]:
+                        if math.gcd(m_prime, c // d) % ell == 0:
+                            continue
+                        for M in grid["M"]:
+                            if math.gcd(M, c) != 1:
+                                continue
+                            for r in range(1, grid["r_max"] + 1):
+                                for n in range(1, grid["n_max"] + 1):
+                                    args = (n, m, m_prime, c, d, r, ell, M)
+                                    dev = voronoi_case(*args)
+                                    vanishing += voronoi_char_sum_closed(*args).value == 0
+                                    cases += 1
+                                    if dev > worst:
+                                        worst, witness = dev, args
+    report = run_suite("voronoi-char", grid=grid)
+    assert (report.max_deviation, tuple(report.worst_witness)) == (worst, witness)
+    assert (report.cases, report.grid["vanishing_cases"]) == (cases, vanishing)
