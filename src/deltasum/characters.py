@@ -3,14 +3,16 @@
 A character chi mod q is stored as (q, g, index) where g is the least
 primitive root mod q and chi(g**k) = e(index * k / (q-1)).  Index 0 is the
 principal character; mod a prime every non-principal character is
-primitive.  Evaluation goes through a per-modulus discrete-log table that
-is built once under a lock and then shared read-only, so characters are
-cheap value objects safe for concurrent use.
+primitive.  Evaluation goes through a per-modulus discrete-log table and
+root-of-unity tables, each kept in a bounded least-recently-used memo
+(256 tables) and shared read-only, so characters are cheap value objects
+safe for concurrent use.  Two threads racing on a missing table may each
+build it; both builds are equal, and one of them is kept.
 """
 
 from __future__ import annotations
 
-import threading
+import functools
 from dataclasses import dataclass
 from math import fsum
 
@@ -20,11 +22,6 @@ from .errors import LimitExceeded, NotPrime
 from .numcore import RationalAngle, factorize, is_prime
 
 MAX_CHARACTER_MODULUS = 10**6
-
-_dlog_lock = threading.Lock()
-_dlog_cache = {}
-_root_lock = threading.Lock()
-_root_cache = {}
 
 
 def primitive_root(q):
@@ -36,39 +33,25 @@ def primitive_root(q):
     raise NotPrime(f"no primitive root mod {q}")
 
 
+@functools.lru_cache(maxsize=256)
 def discrete_log_table(q):
     """table[x] = k with g**k = x mod q (table[0] = -1), cached per modulus."""
-    table = _dlog_cache.get(q)
-    if table is not None:
-        return table
-    with _dlog_lock:
-        table = _dlog_cache.get(q)
-        if table is not None:
-            return table
-        g = primitive_root(q)
-        table = np.full(q, -1, dtype=np.int64)
-        acc = 1
-        for k in range(q - 1):
-            table[acc] = k
-            acc = acc * g % q
-        table.setflags(write=False)
-        _dlog_cache[q] = table
-        return table
+    g = primitive_root(q)
+    table = np.full(q, -1, dtype=np.int64)
+    acc = 1
+    for k in range(q - 1):
+        table[acc] = k
+        acc = acc * g % q
+    table.setflags(write=False)
+    return table
 
 
+@functools.lru_cache(maxsize=256)
 def unit_roots(n):
     """Array of the n-th roots of unity e(j/n), j = 0..n-1, cached."""
-    w = _root_cache.get(n)
-    if w is not None:
-        return w
-    with _root_lock:
-        w = _root_cache.get(n)
-        if w is not None:
-            return w
-        w = np.exp(2j * np.pi * np.arange(n) / n)
-        w.setflags(write=False)
-        _root_cache[n] = w
-        return w
+    w = np.exp(2j * np.pi * np.arange(n) / n)
+    w.setflags(write=False)
+    return w
 
 
 def _check_odd_prime(q):

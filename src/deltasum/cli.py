@@ -4,7 +4,9 @@ Exit codes: 0 success (or suite passed), 1 suite failure, 2 usage or
 domain error, 3 computational error (budget, overflow, non-convergence).
 Machine output goes to stdout, diagnostics to stderr.  Identical argv,
 config and seed produce byte-identical stdout; results are cached under a
-content hash of (subcommand, normalized flags) unless --no-cache is given.
+content hash of (subcommand, normalized flags, package version and a digest
+of the package's sources) unless --no-cache is given, so a code change
+never serves an older result.
 
 Config file: plain ``key = value`` lines for cache_dir, workers,
 default_tolerance_scale and seed.  CLI flags override file values, and the
@@ -14,6 +16,7 @@ DELTASUM_CACHE environment variable overrides the cache_dir from either.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -306,9 +309,22 @@ RUNNERS = {"sum": run_sum, "verify": run_verify, "optimize": run_optimize,
 _CACHE_SKIP_KEYS = {"no_cache", "cache_dir", "config", "command", "workers"}
 
 
+@functools.cache
+def _source_digest():
+    """sha256 of the package's *.py files (each name, then its bytes), in name order."""
+    digest = hashlib.sha256()
+    package = os.path.dirname(os.path.abspath(__file__))
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as fh:
+                digest.update(name.encode("utf-8") + b"\0" + fh.read() + b"\0")
+    return digest.hexdigest()
+
+
 def _cache_key(args, config):
     material = {k: v for k, v in sorted(vars(args).items()) if k not in _CACHE_SKIP_KEYS}
     material["_version"] = __version__
+    material["_source"] = _source_digest()
     material["_seed"] = config.seed
     material["_tolerance_scale"] = config.default_tolerance_scale
     blob = json.dumps(material, sort_keys=True, default=str)

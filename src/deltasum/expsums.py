@@ -43,13 +43,11 @@ from .errors import (
 )
 from .numcore import (
     RationalAngle,
-    arithmetic_functions,
     check_modulus,
     euler_phi,
     factorize,
     is_prime,
     mod_inv,
-    mobius,
 )
 
 UNIT_EPS = 2e-15  # per-summand error bound for a tabulated unit-modulus value
@@ -197,13 +195,21 @@ def twisted_kloosterman(psi, m, n, c, budget=DEFAULT_BUDGET):
 
 
 def ramanujan_sum(q, n):
-    """c_q(n) by the closed form mu(q/g) * phi(q) / phi(q/g), g = gcd(n, q)."""
+    """c_q(n) by the closed form mu(q/g) * phi(q) / phi(q/g), g = gcd(n, q),
+    with mu(q/g) and phi(q/g) read off the one factorization of q."""
     if q < 1:
         raise InvalidValue("q must be positive")
     g = gcd(n, q)
-    phi_q, _, _ = arithmetic_functions(q)
-    qg = q // g
-    return mobius(qg) * phi_q // euler_phi(qg)
+    phi_q = mu_qg = phi_qg = 1
+    for p, e in factorize(q).factors:
+        phi_q *= p ** (e - 1) * (p - 1)
+        while g % p == 0:  # g divides q, so this removes at most e factors
+            g //= p
+            e -= 1
+        if e:  # p**e exactly divides q/g
+            phi_qg *= p ** (e - 1) * (p - 1)
+            mu_qg = 0 if e > 1 else -mu_qg
+    return mu_qg * phi_q // phi_qg
 
 
 def _require_nonprincipal(chi, M):

@@ -97,6 +97,8 @@ def test_domain_error_exits_2(capsys):
     ("bessel", "--nu", "300", "--x", "1.0"),
     ("bessel", "--nu", "2", "--x", "nan"),
     ("integral", "--preset", "toy", "--c", "0"),
+    ("integral", "--preset", "toy", "--tol", "0"),
+    ("integral", "--preset", "toy", "--tol", "nan"),
 ])
 def test_invalid_value_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv, "--no-cache")
@@ -239,6 +241,23 @@ def test_cache_key_distinguishes_flags(capsys):
     run(capsys, "sum", "kloosterman", "--m", "2", "--n", "3", "--c", "7", "--json")
     run(capsys, "sum", "kloosterman", "--m", "2", "--n", "4", "--c", "7", "--json")
     cache_dir = os.environ["DELTASUM_CACHE"]
+    assert len([f for f in os.listdir(cache_dir) if f.endswith(".json")]) == 2
+
+
+def test_cache_key_covers_source_digest(capsys, monkeypatch):
+    from deltasum import cli
+
+    args = ("sum", "kloosterman", "--m", "2", "--n", "3", "--c", "11", "--json")
+    _, fresh, _ = run(capsys, *args)
+    cache_dir = os.environ["DELTASUM_CACHE"]
+    (entry,) = [f for f in os.listdir(cache_dir) if f.endswith(".json")]
+    with open(os.path.join(cache_dir, entry), "w", encoding="utf-8") as fh:
+        json.dump({"stdout": "stale\n", "exit_code": 0}, fh)
+    # unchanged sources: the planted entry is served
+    assert run(capsys, *args)[1] == "stale\n"
+    # changed sources: a miss, recomputed and stored under a new key
+    monkeypatch.setattr(cli, "_source_digest", lambda: "0" * 64)
+    assert run(capsys, *args)[1] == fresh
     assert len([f for f in os.listdir(cache_dir) if f.endswith(".json")]) == 2
 
 

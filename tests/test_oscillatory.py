@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from deltasum.errors import OutOfRange
+from deltasum.errors import InvalidValue, OutOfRange
 from deltasum.oscillatory import (
     IntegralParams,
     WindowFunction,
@@ -13,7 +13,6 @@ from deltasum.oscillatory import (
     decay_scan,
     integral_I,
     integral_value_and_error,
-    poisson_length,
     transition_cutoff,
 )
 from deltasum.suites import TOY_L, TOY_P, TOY_PARAMS
@@ -117,21 +116,128 @@ def test_window_plateau():
 
 
 def test_integral_empty_support_is_zero():
-    from deltasum.oscillatory import _adapt
+    from deltasum.oscillatory import _adaptive
 
-    val = _adapt(lambda y: 1.0 + 0j, 2.0, 2.0, 1e-12, 5, [0.0])
+    val, _ = _adaptive(lambda y: np.ones(y.size, dtype=complex), [2.0, 2.0], 1e-12, 5)
     assert abs(val) < 1e-15
+
+
+def _jagged(y):
+    return np.sin(1.0 / np.maximum(y, 1e-9)).astype(complex)
 
 
 def test_quadrature_non_convergence_raises():
     from deltasum.errors import QuadratureNonConvergence
-    from deltasum.oscillatory import _adapt
-
-    def jagged(y):
-        return complex(math.sin(1.0 / max(y, 1e-9)))
+    from deltasum.oscillatory import _adaptive
 
     with pytest.raises(QuadratureNonConvergence):
-        _adapt(jagged, 1e-6, 1.0, 1e-300, 3, [0.0])
+        _adaptive(_jagged, [1e-6, 1.0], 1e-300, 3)
+
+
+def test_bisection_panel_limit_raises(monkeypatch):
+    from deltasum import oscillatory
+    from deltasum.errors import QuadratureNonConvergence
+
+    monkeypatch.setattr(oscillatory, "_MAX_PANELS", 8)
+    with pytest.raises(QuadratureNonConvergence, match="panels in one level"):
+        oscillatory._adaptive(_jagged, [1e-6, 1.0], 1e-300)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan, math.inf])
+def test_integral_rejects_bad_tolerance(tol):
+    params = IntegralParams(N=1e6, n=10**6, p=11, ell=3, c=29.0, M=10**4)
+    with pytest.raises(InvalidValue):
+        integral_value_and_error(params, WindowFunction("plateau", 1.0 / 154.0), tol)
+
+
+def _recursive_rule(f, edges, tol, depth=48):
+    """The panel-by-panel recursive rule that the level-synchronous loop
+    replaced: (value, sum of the accepted differences), depth first."""
+    x, w = np.polynomial.legendre.leggauss(15)
+    err_acc = [0.0]
+
+    def panel(a, b):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        total = 0j
+        for xi, wi in zip(x, w):
+            total += wi * f(mid + half * xi)
+        return half * total
+
+    def adapt(a, b, tol, depth):
+        mid = 0.5 * (a + b)
+        whole, left, right = panel(a, b), panel(a, mid), panel(mid, b)
+        diff = abs(whole - (left + right))
+        if diff <= tol or (b - a) < 1e-13:
+            err_acc[0] += diff
+            return left + right
+        assert depth > 0
+        return adapt(a, mid, tol / 2, depth - 1) + adapt(mid, b, tol / 2, depth - 1)
+
+    total = 0j
+    for a, b in zip(edges[:-1], edges[1:]):
+        total += adapt(float(a), float(b), tol, depth)
+    return total, err_acc[0]
+
+
+@pytest.mark.parametrize("c, tol", [(8.0, 1e-15), (15.0, 1e-14)])
+def test_level_loop_equals_recursive_rule_bit_for_bit(c, tol):
+    # bump-window integrands that bisect two or three levels deep
+    from deltasum.oscillatory import _adaptive
+
+    params = IntegralParams(N=1e6, n=10**6, p=11, ell=3, c=c, M=10**4, m=1, k=43)
+    window = WindowFunction("bump")
+    cpm = params.c * params.p * params.M
+    freq = params.N * params.ell / cpm
+    coeff = 4.0 * math.pi * math.sqrt(params.N * params.n) * params.ell / cpm
+    const = params.n * params.ell / cpm
+
+    def f(y):
+        phase = 2.0 * math.pi * (freq * y + const)
+        return (complex(math.cos(phase), math.sin(phase))
+                * bessel_j(params.k - 1, coeff * math.sqrt(y)) * window(y, params.M))
+
+    edges = np.linspace(1.0, 2.0, 21)
+    want = _recursive_rule(f, edges, tol)
+    got = _adaptive(lambda ys: np.array([f(y) for y in ys.tolist()]), edges, tol)
+    assert (got[0].real.hex(), got[0].imag.hex(), float(got[1]).hex()) == \
+        (want[0].real.hex(), want[0].imag.hex(), float(want[1]).hex())
+
+
+def _regime_points(nu):
+    """x = 0 and both sides of the series/Miller and Miller/Hankel thresholds."""
+    points = [0.0]
+    for edge in (math.sqrt(4.0 * (nu + 1)), max(1e4, 3.0 * nu * nu)):
+        points += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf),
+                   0.999 * edge, 1.001 * edge]
+    return points
+
+
+@pytest.mark.parametrize("nu", [0, 1, 2, 42, 100, 200])
+def test_bessel_array_equals_scalar_bit_for_bit(nu):
+    rng = np.random.default_rng(nu)
+    xs = np.concatenate([_regime_points(nu), rng.uniform(0.0, 60.0, 40),
+                         rng.uniform(0.0, 1.1 * max(1e4, 3.0 * nu * nu), 12)])
+    got = bessel_j(nu, xs)
+    assert got.shape == xs.shape
+    assert [v.hex() for v in got.tolist()] == [bessel_j(nu, x).hex() for x in xs.tolist()]
+
+
+def test_bessel_array_rejects_bad_elements():
+    for bad in (-0.5, math.nan, math.inf):
+        with pytest.raises(InvalidValue):
+            bessel_j(3, np.array([1.0, bad, 2.0]))
+    with pytest.raises(InvalidValue):
+        bessel_j(3, np.ones((2, 2)))
+    with pytest.raises(InvalidValue):
+        bessel_j(201, np.array([1.0]))
+
+
+@pytest.mark.parametrize("nu", [0, 1, 42, 100, 200])
+def test_bessel_mpmath_oracle_at_regime_boundaries(nu):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for x in _regime_points(nu):
+            assert abs(bessel_j(nu, x) - float(mpmath.besselj(nu, x))) <= 1.6e-13, x
 
 
 def test_integral_tiny_bessel_argument():
@@ -189,11 +295,6 @@ def test_transition_cutoff_examples():
     assert math.isclose(upper / lower, M ** (4 * theta + 2 * 0.01))
     with pytest.raises(OutOfRange):
         transition_cutoff(N, L, P, M, mode="nope")
-
-
-def test_poisson_length_default_floor():
-    assert poisson_length(10.0, 1.0, 100.0, 10.0, n0=1.0) >= 1.0
-    assert poisson_length(1e6, 3.0, 30.0, 11.0) > 1e3
 
 
 def test_decay_scan_toy():

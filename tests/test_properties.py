@@ -1,6 +1,6 @@
-"""Property-based checks of the Kloosterman identities and of the batched
-kernels (kloosterman_terms, voronoi_char_sums_raw) against a pure-Python
-direct sum over the units, within identity_tolerance."""
+"""Property-based checks of the Kloosterman and Ramanujan identities and of
+the batched kernels (kloosterman_terms, voronoi_char_sums_raw) against a
+pure-Python direct sum over the units, within identity_tolerance."""
 
 import cmath
 import math
@@ -16,6 +16,7 @@ from deltasum.expsums import (
     identity_tolerance,
     kloosterman,
     kloosterman_terms,
+    ramanujan_sum,
     voronoi_char_sums_closed,
     voronoi_char_sums_raw,
 )
@@ -65,6 +66,17 @@ def test_batched_kloosterman_rows_match_direct_sum(pairs, c):
         want, count = direct_kloosterman(m, n, c)
         assert abs(got - want) <= identity_tolerance(2 * count, abs(got), abs(want))
         assert got == kloosterman(m, n, c).value
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(min_value=1, max_value=2000), residues)
+def test_ramanujan_closed_form_equals_raw_sum(q, n):
+    # c_q(n) = sum over units a mod q of e(a n / q) = S(0, n; q)
+    closed = ramanujan_sum(q, n)
+    want, count = direct_kloosterman(0, n, q)
+    raw = kloosterman(0, n, q).value
+    for got in (want, raw):
+        assert abs(closed - got) <= identity_tolerance(2 * count, abs(closed), abs(got))
 
 
 @st.composite

@@ -1,9 +1,11 @@
-"""Byte-level pins: the inverse table against pow(), and every suite's
-smoke report against its recorded sha256.
+"""Byte-level pins: the inverse table against pow(), every suite's smoke
+report against its recorded sha256, and the window integrals' bits.
 
 The report hashes were recorded with the scalar case-by-case sweeps,
-before the batched kernels replaced them; a faster path must not move a
-single byte of any report.
+before the batched kernels replaced them, and the integral bits with the
+panel-by-panel recursive quadrature and scalar Bessel calls, before the
+level-synchronous batched loop replaced them; a faster path must not move
+a single byte of any report or a single bit of any integral.
 """
 
 import hashlib
@@ -13,6 +15,7 @@ import pytest
 
 from deltasum.cli import main
 from deltasum.expsums import units_and_inverses
+from deltasum.oscillatory import IntegralParams, WindowFunction, integral_value_and_error
 from deltasum.suites import SUITES
 
 SMOKE_REPORT_SHA256 = {
@@ -60,3 +63,32 @@ def test_inverse_table_matches_pow_large_moduli(c):
     sample = np.linspace(0, xs.size - 1, 2000).astype(np.int64)
     assert inv[sample].tolist() == [pow(x, -1, c) for x in xs[sample].tolist()]
     units_and_inverses.cache_clear()  # release the large tables
+
+
+# (window, c, tol) -> float.hex of (re, im, err_estimate) at the toy parameters
+INTEGRAL_BITS = {
+    ("plateau", 29.0, 1e-12): ("0x1.5d1dd078b912bp-35", "0x1.6f2f072edc7dbp-36", "0x1.19799812dea11p-40"),
+    ("plateau", 8.0, 1e-12): ("-0x1.614c310009962p-11", "-0x1.f1f10f0e021b2p-11", "0x1.19799812dea11p-40"),
+    ("plateau", 4.0, 1e-12): ("-0x1.962d7457e96b5p-10", "0x1.67f5dbb0535c0p-9", "0x1.19799812dea11p-40"),
+    ("plateau", 2.0, 1e-12): ("0x1.56dcc7b10a6b1p-10", "0x1.e77ab499bc8d8p-11", "0x1.19799812dea11p-40"),
+    ("plateau", 1.0, 1e-12): ("-0x1.4f0b74da6042dp-11", "0x1.f21bda9cfb033p-13", "0x1.19799812dea11p-40"),
+    # bisects one level below the initial panels
+    ("bump", 8.0, 1e-12): ("-0x1.31057e176dd22p-9", "0x1.ba2b29c78bfb9p-10", "0x1.19799812dea11p-40"),
+}
+
+
+@pytest.mark.parametrize("kind, c, tol", sorted(INTEGRAL_BITS))
+def test_integral_bits_pinned(kind, c, tol):
+    params = IntegralParams(N=1e6, n=10**6, p=11, ell=3, c=c, M=10**4, m=1, k=43)
+    window = WindowFunction(kind, 1.0 / 154.0 if kind == "plateau" else 0.0)
+    value, err = integral_value_and_error(params, window, tol)
+    assert (value.real.hex(), value.imag.hex(), float(err).hex()) == INTEGRAL_BITS[(kind, c, tol)]
+
+
+@pytest.mark.parametrize("c", [29.0, 8.0])
+def test_integral_bits_independent_of_batch_and_block_size(c, monkeypatch):
+    from deltasum import oscillatory
+
+    monkeypatch.setattr(oscillatory, "_MAX_BATCH_NODES", 45)  # three panels per call
+    monkeypatch.setattr(oscillatory, "_MAX_PANELS", 4)  # initial panels in blocks of four
+    test_integral_bits_pinned("plateau", c, 1e-12)
