@@ -8,9 +8,13 @@ content hash of (subcommand, normalized flags, package version and a digest
 of the package's sources) unless --no-cache is given, so a code change
 never serves an older result.
 
-Config file: plain ``key = value`` lines for cache_dir, workers,
-default_tolerance_scale and seed.  CLI flags override file values, and the
+Config file: plain ``key = value`` lines for cache_dir and
+default_tolerance_scale.  CLI flags override file values, and the
 DELTASUM_CACHE environment variable overrides the cache_dir from either.
+The default tolerance scale reaches only the suites that take one.
+
+`verify` passes --seed, --trials and --tolerance-scale to its suite, and a
+suite that does not take one of them rejects it with exit 2.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import inspect
 import json
 import os
 import sys
@@ -47,9 +52,7 @@ SUM_KINDS = ("kloosterman", "twisted", "gauss", "ramanujan", "dsum", "c3", "c4")
 @dataclass
 class CliConfig:
     cache_dir: str = DEFAULT_CACHE_DIR
-    workers: int = 1
     default_tolerance_scale: float = 1.0
-    seed: int = 0
 
 
 def load_config(path):
@@ -66,16 +69,10 @@ def load_config(path):
             key, value = (part.strip() for part in line.split("=", 1))
             if key == "cache_dir":
                 config.cache_dir = value
-            elif key == "workers":
-                config.workers = int(value)
             elif key == "default_tolerance_scale":
                 config.default_tolerance_scale = float(value)
-            elif key == "seed":
-                config.seed = int(value)
             else:
                 raise DomainError(f"{path}:{line_no}: unknown config key {key!r}")
-    if config.workers < 1:
-        raise DomainError("workers must be >= 1")
     return config
 
 
@@ -86,14 +83,6 @@ def resolve_config(args):
         config.cache_dir = env_cache
     if getattr(args, "cache_dir", None):
         config.cache_dir = args.cache_dir
-    if getattr(args, "workers", None) is not None:
-        if args.workers < 1:
-            raise DomainError("workers must be >= 1")
-        config.workers = args.workers
-    if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
-    if getattr(args, "tolerance_scale", None) is not None:
-        config.default_tolerance_scale = args.tolerance_scale
     return config
 
 
@@ -112,7 +101,6 @@ def build_parser():
         p.add_argument("--no-cache", action="store_true", help="bypass the result cache")
         p.add_argument("--cache-dir", help="cache directory (env DELTASUM_CACHE overrides config)")
         p.add_argument("--config", help="config file with 'key = value' lines")
-        p.add_argument("--workers", type=int, help="parallelism bound (>= 1)")
 
     p_sum = sub.add_parser("sum", help="compute one exponential/character sum")
     p_sum.add_argument("kind", choices=SUM_KINDS)
@@ -128,9 +116,8 @@ def build_parser():
     p_verify.add_argument("suite", choices=sorted(SUITES))
     p_verify.add_argument("--grid-preset", default="default", choices=("default", "smoke"))
     p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--budget", type=int, default=None)
     p_verify.add_argument("--trials", type=int, default=None,
-                          help="trial count for the seeded random suites")
+                          help="trial count of the reciprocity suite")
     p_verify.add_argument("--tolerance-scale", type=float, default=None)
     add_common(p_verify, csv=True)
 
@@ -227,14 +214,12 @@ def run_sum(args, config):
 
 
 def run_verify(args, config):
-    kwargs = {}
-    if args.trials is not None:
-        kwargs["trials"] = args.trials
+    tolerance_scale = args.tolerance_scale
+    if (tolerance_scale is None
+            and "tolerance_scale" in inspect.signature(SUITES[args.suite]).parameters):
+        tolerance_scale = config.default_tolerance_scale
     report = run_suite(args.suite, preset=args.grid_preset, seed=args.seed,
-                       tolerance_scale=(args.tolerance_scale
-                                        if args.tolerance_scale is not None
-                                        else config.default_tolerance_scale),
-                       budget=args.budget, **kwargs)
+                       trials=args.trials, tolerance_scale=tolerance_scale)
     try:
         append_ledger(report, config.cache_dir)
     except OSError as exc:
@@ -296,6 +281,7 @@ def run_integral(args, config):
     params = IntegralParams(**values)
     window = WindowFunction(args.window, theta if args.window == "plateau" else 0.0)
     value, err = integral_value_and_error(params, window, args.tol)
+    value, err = complex(value), float(err)
     payload = {"re": value.real, "im": value.imag, "abs": abs(value), "err_estimate": err}
     if args.json:
         return json.dumps(payload), 0
@@ -306,7 +292,7 @@ def run_integral(args, config):
 RUNNERS = {"sum": run_sum, "verify": run_verify, "optimize": run_optimize,
            "bessel": run_bessel, "integral": run_integral}
 
-_CACHE_SKIP_KEYS = {"no_cache", "cache_dir", "config", "command", "workers"}
+_CACHE_SKIP_KEYS = {"no_cache", "cache_dir", "config", "command"}
 
 
 @functools.cache
@@ -321,12 +307,10 @@ def _source_digest():
     return digest.hexdigest()
 
 
-def _cache_key(args, config):
+def _cache_key(args):
     material = {k: v for k, v in sorted(vars(args).items()) if k not in _CACHE_SKIP_KEYS}
     material["_version"] = __version__
     material["_source"] = _source_digest()
-    material["_seed"] = config.seed
-    material["_tolerance_scale"] = config.default_tolerance_scale
     blob = json.dumps(material, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -361,7 +345,7 @@ def main(argv=None):
     try:
         config = resolve_config(args)
         use_cache = not args.no_cache
-        key = _cache_key(args, config) if use_cache else None
+        key = _cache_key(args) if use_cache else None
         if use_cache and args.command != "verify":
             hit = _cache_read(key, config)
             if hit is not None:

@@ -98,10 +98,6 @@ def euler_phi(n):
     return arithmetic_functions(n)[0]
 
 
-def mobius(n):
-    return arithmetic_functions(n)[1]
-
-
 def divisor_count(n):
     return arithmetic_functions(n)[2]
 

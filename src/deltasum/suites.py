@@ -6,12 +6,22 @@ identity or one bound, and reports the worst normalized deviation and the
 witness that produced it.  Pass thresholds are exactly the tolerances of
 the owning modules; the suites add no slack of their own.
 
+One accumulator, `_Sweep`, keeps the bookkeeping of every suite, so all
+twelve share one witness rule and one pass rule.  The witness is the first
+case that reaches the maximum: a case replaces the running worst only if
+its deviation is strictly larger, and the first case offered always sets
+it.  A suite passes when its worst deviation is at most its ceiling: 1.0
+for the normalized deviations, 0.0 for the exact checks (`reciprocity`,
+`exponent`) and the |D(u; M)|/sqrt(M) ceiling 4.0 for `dsum-cancel`.
+
 Each suite has a matching *_case function that re-evaluates one witness,
-so a stored report can be re-checked bit for bit.
+so a stored report can be re-checked bit for bit.  A suite declares only
+the keywords it reads; `run_suite` rejects any other with InvalidValue.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 import time
 from fractions import Fraction
@@ -20,6 +30,7 @@ import numpy as np
 
 from . import expsums
 from .characters import DirichletCharacter, enumerate_characters, gauss_sum, unit_roots
+from .errors import InvalidValue
 from .exponent import minimize_max, paper_bound_problem, staged_elimination
 from .expsums import (
     ExpSumValue,
@@ -45,36 +56,45 @@ from .oscillatory import IntegralParams, bessel_j, decay_scan
 from .scan import Lcg, ScanReport
 
 
-def _finish(name, grid, cases, worst, witness, passed, t0, notes=None):
-    runtime_ms = int((time.perf_counter() - t0) * 1000)
-    if witness is not None:
-        witness = tuple(x.item() if hasattr(x, "item") else x for x in witness)
-    notes = {k: (float(v) if isinstance(v, float) else v) for k, v in (notes or {}).items()}
-    return ScanReport(name, grid, int(cases), float(worst), witness, bool(passed),
-                      runtime_ms, notes)
+class _Sweep:
+    """Case count, worst deviation and witness of one suite run, and its clock.
 
-
-class _FirstMax:
-    """The worst deviation of a sweep and the first case that reaches it.
-
-    Batched deviations only nominate candidates.  In grid order, a case is
-    re-evaluated through its scalar *_case function when its batched
-    deviation exceeds the running worst minus its slack, and only that
-    scalar value is compared (strictly) and kept.  While every slack bounds
-    |batched - scalar|, a skipped case could not have raised the worst, so
-    the result is exactly that of the case-by-case sweep.
+    `add` takes cases one at a time (or a block whose worst is known);
+    `offer` takes a batch of deviations that only nominate candidates.  In
+    grid order, a batched case is re-evaluated through its scalar *_case
+    function when its batched deviation exceeds the running worst minus its
+    slack, and only that scalar value is compared and kept.  While every
+    slack bounds |batched - scalar|, a skipped case could not have raised
+    the worst, so the result is exactly that of the case-by-case sweep.
     """
 
     def __init__(self):
-        self.worst, self.witness = 0.0, None
+        self.t0 = time.perf_counter()
+        self.cases, self.worst, self.witness = 0, 0.0, None
+
+    def add(self, witness, dev, count=1):
+        if dev > self.worst or not self.cases:
+            self.worst, self.witness = dev, witness
+        self.cases += count
 
     def offer(self, devs, slacks, witness_of, case_fn):
-        for i in np.flatnonzero(devs > self.worst - slacks).tolist():
-            if devs[i] > self.worst - slacks[i]:
+        start = self.cases
+        nominated = devs > self.worst - slacks
+        nominated[:1] |= start == 0  # the first case offered always sets the witness
+        for i in np.flatnonzero(nominated).tolist():
+            if devs[i] > self.worst - slacks[i] or start + i == 0:
                 witness = witness_of(i)
-                dev = case_fn(*witness)
-                if dev > self.worst:
-                    self.worst, self.witness = dev, witness
+                self.add(witness, case_fn(*witness))
+        self.cases = start + devs.size
+
+    def report(self, name, grid, ceiling=1.0, notes=None):
+        runtime_ms = int((time.perf_counter() - self.t0) * 1000)
+        witness = self.witness
+        if witness is not None:
+            witness = tuple(x.item() if hasattr(x, "item") else x for x in witness)
+        notes = {k: (float(v) if isinstance(v, float) else v) for k, v in (notes or {}).items()}
+        return ScanReport(name, grid, int(self.cases), float(self.worst), witness,
+                          bool(self.worst <= ceiling), runtime_ms, notes)
 
 
 def _deviation(lhs, rhs, tolerance_scale=1.0):
@@ -91,10 +111,10 @@ def psi_average_case(r, m, c, p, M, tolerance_scale=1.0):
     return _deviation(psi_average_raw(params), psi_average_closed(params), tolerance_scale)
 
 
-def suite_psi_average(grid=None, seed=0, tolerance_scale=1.0, budget=expsums.DEFAULT_BUDGET, **_):
-    t0 = time.perf_counter()
+def suite_psi_average(grid=None, tolerance_scale=1.0):
+    sweep = _Sweep()
     grid = grid or {"p": [3, 5, 7], "M": [11, 13], "c_max": 6, "r_max": 10, "m_max": 10}
-    worst, witness, cases, skipped = 0.0, None, 0, 0
+    skipped = 0
     for p in grid["p"]:
         for M in grid["M"]:
             for c in range(1, grid["c_max"] + 1):
@@ -103,13 +123,9 @@ def suite_psi_average(grid=None, seed=0, tolerance_scale=1.0, budget=expsums.DEF
                     continue
                 for r in range(1, grid["r_max"] + 1):
                     for m in range(1, grid["m_max"] + 1):
-                        dev = psi_average_case(r, m, c, p, M, tolerance_scale)
-                        cases += 1
-                        if dev > worst:
-                            worst, witness = dev, (r, m, c, p, M)
-    report_grid = dict(grid)
-    report_grid["skipped"] = skipped
-    return _finish("psi-average", report_grid, cases, worst, witness, worst <= 1.0, t0)
+                        sweep.add((r, m, c, p, M),
+                                  psi_average_case(r, m, c, p, M, tolerance_scale))
+    return sweep.report("psi-average", dict(grid, skipped=skipped))
 
 
 # ---------------------------------------------------------------- reciprocity
@@ -121,22 +137,18 @@ def reciprocity_case(a, b, n):
     return 0.0 if lhs == rhs else 1.0
 
 
-def suite_reciprocity(trials=10**4, seed=1, max_modulus=10**6, **_):
-    t0 = time.perf_counter()
+def suite_reciprocity(trials=10**4, seed=1, max_modulus=10**6):
+    sweep = _Sweep()
     rng = Lcg(seed)
-    worst, witness, cases = 0.0, None, 0
-    while cases < trials:
+    while sweep.cases < trials:
         a = 1 + rng.below(max_modulus)
         b = 1 + rng.below(max_modulus)
         if math.gcd(a, b) != 1:
             continue
         n = 1 + rng.below(max_modulus)
-        dev = reciprocity_case(a, b, n)
-        cases += 1
-        if dev > worst or witness is None:
-            worst, witness = dev, (a, b, n)
+        sweep.add((a, b, n), reciprocity_case(a, b, n))
     grid = {"trials": trials, "seed": seed, "max_modulus": max_modulus}
-    return _finish("reciprocity", grid, cases, worst, witness, worst == 0.0, t0)
+    return sweep.report("reciprocity", grid, ceiling=0.0)
 
 
 # ------------------------------------------------------------------------ c1
@@ -156,11 +168,11 @@ def c1_case(c, p, M, n, ell, tolerance_scale=1.0):
     return _deviation(lhs, rhs, tolerance_scale)
 
 
-def suite_c1(c_max=20, seed=2, tolerance_scale=1.0, **_):
-    t0 = time.perf_counter()
+def suite_c1(c_max=20, seed=2, tolerance_scale=1.0):
+    sweep = _Sweep()
     rng = Lcg(seed)
     small_primes = [3, 5, 7, 11, 13]
-    worst, witness, cases, skipped = 0.0, None, 0, 0
+    skipped = 0
     for c in range(1, c_max + 1):
         for _try in range(3):
             p = rng.choice(small_primes)
@@ -170,12 +182,8 @@ def suite_c1(c_max=20, seed=2, tolerance_scale=1.0, **_):
             if math.gcd(p * M, c) != 1:
                 skipped += 1
                 continue
-            dev = c1_case(c, p, M, n, ell, tolerance_scale)
-            cases += 1
-            if dev > worst or witness is None:
-                worst, witness = dev, (c, p, M, n, ell)
-    grid = {"c_max": c_max, "seed": seed, "skipped": skipped}
-    return _finish("c1", grid, cases, worst, witness, worst <= 1.0, t0)
+            sweep.add((c, p, M, n, ell), c1_case(c, p, M, n, ell, tolerance_scale))
+    return sweep.report("c1", {"c_max": c_max, "seed": seed, "skipped": skipped})
 
 
 # ------------------------------------------------------------------------ c2
@@ -199,10 +207,9 @@ def c2_case(M, chi_index, p, c, n, ell, tolerance_scale=1.0):
     return _deviation(lhs, rhs, tolerance_scale)
 
 
-def suite_c2(M_list=(5, 7), seed=3, tolerance_scale=1.0, **_):
-    t0 = time.perf_counter()
+def suite_c2(M_list=(5, 7), seed=3, tolerance_scale=1.0):
+    sweep = _Sweep()
     rng = Lcg(seed)
-    worst, witness, cases = 0.0, None, 0
     for M in M_list:
         for chi_index in range(1, M - 1):
             for _try in range(4):
@@ -212,12 +219,9 @@ def suite_c2(M_list=(5, 7), seed=3, tolerance_scale=1.0, **_):
                 ell = rng.choice([2, 3, 5])
                 if math.gcd(p * c, M) != 1:
                     continue
-                dev = c2_case(M, chi_index, p, c, n, ell, tolerance_scale)
-                cases += 1
-                if dev > worst or witness is None:
-                    worst, witness = dev, (M, chi_index, p, c, n, ell)
-    grid = {"M_list": list(M_list), "seed": seed}
-    return _finish("c2", grid, cases, worst, witness, worst <= 1.0, t0)
+                sweep.add((M, chi_index, p, c, n, ell),
+                          c2_case(M, chi_index, p, c, n, ell, tolerance_scale))
+    return sweep.report("c2", {"M_list": list(M_list), "seed": seed})
 
 
 # ------------------------------------------------------------------------ c3
@@ -225,7 +229,11 @@ def suite_c2(M_list=(5, 7), seed=3, tolerance_scale=1.0, **_):
 def c3_case(M, chi_index, v, tolerance_scale=1.0):
     """Composite deviation: raw-vs-closed mismatch, plus the exact M(M-2)
     check at v = 1, plus the |value|/(3M) ceiling ratio off the diagonal."""
-    chi = DirichletCharacter.from_index(M, chi_index)
+    return _c3_check(M, DirichletCharacter.from_index(M, chi_index), v, tolerance_scale)[0]
+
+
+def _c3_check(M, chi, v, tolerance_scale):
+    """(c3_case's deviation, the closed-form value) for one character."""
     raw = c3_raw(v, M, chi)
     closed = c3_closed(v, M, chi)
     dev = _deviation(raw, closed, tolerance_scale)
@@ -234,29 +242,24 @@ def c3_case(M, chi_index, v, tolerance_scale=1.0):
                   abs(raw.value - round(raw.value.real)) / 1e-6)
     else:
         dev = max(dev, abs(raw.value) / (3 * M))
-    return dev
+    return dev, closed
 
 
-def suite_c3(M_list=(5, 7, 11, 13), tolerance_scale=1.0, **_):
+def suite_c3(M_list=(5, 7, 11, 13), tolerance_scale=1.0):
     """Raw = closed for every chi and unit v; at v = 1 the value is M(M-2)
     exactly; off v = 1 the magnitude stays below 3M."""
-    t0 = time.perf_counter()
-    worst, witness, cases = 0.0, None, 0
+    sweep = _Sweep()
     observed_off_max = 0.0
     for M in M_list:
         for chi_index in range(1, M - 1):
             chi = DirichletCharacter.from_index(M, chi_index)
             for v in range(1, M):
-                dev = c3_case(M, chi_index, v, tolerance_scale)
+                dev, closed = _c3_check(M, chi, v, tolerance_scale)
                 if v != 1:
-                    observed_off_max = max(observed_off_max,
-                                           abs(c3_closed(v, M, chi).value) / M)
-                cases += 1
-                if dev > worst:
-                    worst, witness = dev, (M, chi_index, v)
-    grid = {"M_list": list(M_list)}
+                    observed_off_max = max(observed_off_max, abs(closed.value) / M)
+                sweep.add((M, chi_index, v), dev)
     notes = {"observed_max_over_M_off_diagonal": observed_off_max}
-    return _finish("c3", grid, cases, worst, witness, worst <= 1.0, t0, notes)
+    return sweep.report("c3", {"M_list": list(M_list)}, notes=notes)
 
 
 # ------------------------------------------------------------------------ c4
@@ -296,21 +299,15 @@ def c4_case(args):
     return abs(val.value) / bound
 
 
-def suite_c4(instances=200, seed=4, **_):
-    t0 = time.perf_counter()
+def suite_c4(instances=200, seed=4):
+    sweep = _Sweep()
     rng = Lcg(seed)
-    worst, witness, cases = 0.0, None, 0
-    observed = 0.0
     for _i in range(instances):
         args = _c4_sample(rng)
-        dev = c4_case(args)
-        observed = max(observed, dev * 10.0)
-        cases += 1
-        if dev > worst or witness is None:
-            worst, witness = dev, args
-    grid = {"instances": instances, "seed": seed}
-    notes = {"observed_max_normalized_ratio": observed}
-    return _finish("c4", grid, cases, worst, witness, worst <= 1.0, t0, notes)
+        sweep.add(args, c4_case(args))
+    # x -> fl(10 x) is monotone, so this is the largest of the cases' 10 * dev
+    notes = {"observed_max_normalized_ratio": 10.0 * sweep.worst}
+    return sweep.report("c4", {"instances": instances, "seed": seed}, notes=notes)
 
 
 # ---------------------------------------------------------------- voronoi
@@ -321,14 +318,13 @@ def voronoi_case(n, m, m_prime, c, d, r, ell, M, tolerance_scale=1.0):
     return _deviation(raw, closed, tolerance_scale)
 
 
-def suite_voronoi_char(grid=None, tolerance_scale=1.0, **_):
+def suite_voronoi_char(grid=None, tolerance_scale=1.0):
     """Raw = closed for the beta-sum, one (m, c, d, m', ell, M) group of
     (r, n) cases at a time."""
-    t0 = time.perf_counter()
+    sweep = _Sweep()
     grid = grid or {"m_max": 3, "c_max": 12, "m_prime_max": 12,
                     "ell": [3, 5, 7], "M": [13, 29], "r_max": 8, "n_max": 8}
-    best = _FirstMax()
-    cases, vanishing = 0, 0
+    vanishing = 0
     rs = range(1, grid["r_max"] + 1)
     ns = range(1, grid["n_max"] + 1)
 
@@ -356,17 +352,13 @@ def suite_voronoi_char(grid=None, tolerance_scale=1.0, **_):
                                                      tolerance_scale)
                             devs = np.abs(raw - closed) / tol
                             vanishing += int(np.count_nonzero(closed == 0))
-                            cases += devs.size
 
                             def witness_of(i, m=m, m_prime=m_prime, c=c, d=d, ell=ell, M=M):
                                 r, n = divmod(i, len(ns))
                                 return (ns[n], m, m_prime, c, d, rs[r], ell, M)
 
-                            best.offer(devs, 1e-9 * devs, witness_of, case)
-    report_grid = dict(grid)
-    report_grid["vanishing_cases"] = vanishing
-    return _finish("voronoi-char", report_grid, cases, best.worst, best.witness,
-                   best.worst <= 1.0, t0)
+                            sweep.offer(devs, 1e-9 * devs, witness_of, case)
+    return sweep.report("voronoi-char", dict(grid, vanishing_cases=vanishing))
 
 
 # ------------------------------------------------------------- twisted split
@@ -383,11 +375,10 @@ def twisted_split_case(n, p, M, r, ell, c, psi_index, tolerance_scale=1.0):
     return dev
 
 
-def suite_twisted_split(grid=None, tolerance_scale=1.0, **_):
-    t0 = time.perf_counter()
+def suite_twisted_split(grid=None, tolerance_scale=1.0):
+    sweep = _Sweep()
     grid = grid or {"p": [3, 5], "M": [7, 11], "c_max": 8,
                     "n": [1, 2], "r": [1, 3], "ell": [2, 5]}
-    worst, witness, cases = 0.0, None, 0
     for p in grid["p"]:
         for M in grid["M"]:
             for c in range(1, grid["c_max"] + 1):
@@ -397,12 +388,10 @@ def suite_twisted_split(grid=None, tolerance_scale=1.0, **_):
                             for ell in grid["ell"]:
                                 if math.gcd(r * ell, M) != 1:
                                     continue
-                                dev = twisted_split_case(n, p, M, r, ell, c, psi_index,
-                                                         tolerance_scale)
-                                cases += 1
-                                if dev > worst:
-                                    worst, witness = dev, (n, p, M, r, ell, c, psi_index)
-    return _finish("twisted-split", dict(grid), cases, worst, witness, worst <= 1.0, t0)
+                                sweep.add((n, p, M, r, ell, c, psi_index),
+                                          twisted_split_case(n, p, M, r, ell, c, psi_index,
+                                                             tolerance_scale))
+    return sweep.report("twisted-split", dict(grid))
 
 
 # ---------------------------------------------------------------------- weil
@@ -414,12 +403,11 @@ def weil_case(m, n, c):
     return abs(s.value) / (bound + s.est_error)
 
 
-def suite_weil(c_max=2000, pairs_per_c=20, seed=5, **_):
+def suite_weil(c_max=2000, pairs_per_c=20, seed=5):
     """All pairs of one modulus form one gather; numpy row sums locate the
     candidates, which weil_case re-evaluates by the fsum route."""
-    t0 = time.perf_counter()
+    sweep = _Sweep()
     rng = Lcg(seed)
-    best = _FirstMax()
     for c in range(1, c_max + 1):
         draws = np.array([1 + rng.below(10**6) for _ in range(2 * pairs_per_c)],
                          dtype=np.int64)
@@ -433,11 +421,9 @@ def suite_weil(c_max=2000, pairs_per_c=20, seed=5, **_):
         # numpy's pairwise row sum of T unit-modulus terms is within about
         # (128 + log2 T) * 2**-53 * T of the exact sum, and fsum within half
         # an ulp of it, so 1e-9 * T bounds |batched - scalar| with room.
-        best.offer(np.abs(sums) / scale, 1e-9 * size / scale,
-                   lambda i, c=c, ms=ms, ns=ns: (int(ms[i]), int(ns[i]), c), weil_case)
-    grid = {"c_max": c_max, "pairs_per_c": pairs_per_c, "seed": seed}
-    return _finish("weil", grid, c_max * pairs_per_c, best.worst, best.witness,
-                   best.worst <= 1.0, t0)
+        sweep.offer(np.abs(sums) / scale, 1e-9 * size / scale,
+                    lambda i, c=c, ms=ms, ns=ns: (int(ms[i]), int(ns[i]), c), weil_case)
+    return sweep.report("weil", {"c_max": c_max, "pairs_per_c": pairs_per_c, "seed": seed})
 
 
 # --------------------------------------------------------------- dsum cancel
@@ -466,19 +452,14 @@ def _dsum_rows(M):
     return np.abs(rows)
 
 
-def suite_dsum_cancel(M_max=300, ceiling=4.0, **_):
-    t0 = time.perf_counter()
-    worst, witness, cases = 0.0, None, 0
+def suite_dsum_cancel(M_max=300, ceiling=4.0):
+    sweep = _Sweep()
     for M in primes_between(2, M_max + 1):
         rows = _dsum_rows(M)[:, 1:]  # drop u = 0
-        cases += rows.size
-        flat = int(np.argmax(rows))
-        chi_row, u_col = divmod(flat, M - 1)
-        dev = dsum_cancel_case(M, chi_row + 1, u_col + 1)
-        if dev > worst:
-            worst, witness = dev, (M, chi_row + 1, u_col + 1)
-    grid = {"M_max": M_max, "ceiling": ceiling}
-    return _finish("dsum-cancel", grid, cases, worst, witness, worst <= ceiling, t0)
+        chi_row, u_col = divmod(int(np.argmax(rows)), M - 1)
+        witness = (M, chi_row + 1, u_col + 1)
+        sweep.add(witness, dsum_cancel_case(*witness), count=rows.size)
+    return sweep.report("dsum-cancel", {"M_max": M_max, "ceiling": ceiling}, ceiling=ceiling)
 
 
 # -------------------------------------------------------------- bessel decay
@@ -505,34 +486,25 @@ def bessel_decay_case(kind, *params):
     return row["trivial_ratio"] / TRIVIAL_RATIO_CEILING
 
 
-def suite_bessel_decay(multipliers=(0.25, 0.5, 1.0, 2.0, 4.0, 8.0), **_):
+def suite_bessel_decay(multipliers=(0.25, 0.5, 1.0, 2.0, 4.0, 8.0)):
     """Decay scan at toy parameters plus the recurrence residual grid."""
-    t0 = time.perf_counter()
+    sweep = _Sweep()
     report = decay_scan(TOY_PARAMS, multipliers, L=TOY_L, P=TOY_P, eps=0.01)
-    worst, witness = report.max_deviation, report.worst_witness
-    cases = report.cases
+    sweep.add(report.worst_witness, report.max_deviation, count=report.cases)
     for nu in range(6, 61, 6):
-        for x in np.geomspace(0.1, 200.0, 12):
-            x = float(x)
-            res = abs(bessel_j(nu - 1, x) + bessel_j(nu + 1, x)
-                      - (2.0 * nu / x) * bessel_j(nu, x))
-            dev = res / (1e-9 * max(1.0, abs(bessel_j(nu, x))))
-            cases += 1
-            if dev > worst:
-                worst, witness = dev, ("recurrence", nu, x)
-    grid = dict(report.grid)
-    grid["recurrence_nu"] = "6..60 step 6"
-    return _finish("bessel-decay", grid, cases, worst, witness, worst <= 1.0, t0,
-                   report.notes)
+        for x in np.geomspace(0.1, 200.0, 12).tolist():
+            sweep.add(("recurrence", nu, x), bessel_decay_case("recurrence", nu, x))
+    grid = dict(report.grid, recurrence_nu="6..60 step 6")
+    return sweep.report("bessel-decay", grid, notes=report.notes)
 
 
 # ------------------------------------------------------------------ exponent
 
-def suite_exponent(**_):
+def suite_exponent():
     """The optimizer must land exactly on theta = 1/154, value = 115/154,
     by both the LP and the staged route, with and without the growth
     constraint 4 theta + xL <= xP."""
-    t0 = time.perf_counter()
+    sweep = _Sweep()
     expected_point = (Fraction(20, 77), Fraction(9, 77), Fraction(1, 154))
     expected_value = Fraction(115, 154)
     lp = minimize_max(paper_bound_problem())
@@ -547,7 +519,7 @@ def suite_exponent(**_):
         growth_ok,
         paper_bound_problem().feasible(lp.point, strict=False),
     ]
-    worst = 0.0 if all(checks) else 1.0
+    sweep.add(None, 0.0 if all(checks) else 1.0, count=len(checks))
     notes = {
         "theta": str(lp.point[2]),
         "xP": str(lp.point[0]),
@@ -557,7 +529,7 @@ def suite_exponent(**_):
         "unconstrained_matches": bool(free.point == lp.point),
         "growth_condition_satisfied_unconstrained": bool(growth_ok),
     }
-    return _finish("exponent", {}, len(checks), worst, None, worst == 0.0, t0, notes)
+    return sweep.report("exponent", {}, ceiling=0.0, notes=notes)
 
 
 SUITES = {
@@ -593,19 +565,21 @@ SMOKE_OVERRIDES = {
 }
 
 
-def run_suite(name, preset="default", seed=None, tolerance_scale=1.0, budget=None, **extra):
+def run_suite(name, preset="default", **kwargs):
+    """Run one suite at a grid preset; keywords override the suite's own.
+
+    A keyword given as None counts as not given.  Any other keyword the
+    suite does not declare raises InvalidValue: no setting is ignored.
+    """
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
-    kwargs = {}
-    if preset == "smoke":
-        kwargs.update(SMOKE_OVERRIDES[name])
-    elif preset != "default":
+    if preset not in ("default", "smoke"):
         raise KeyError(f"unknown grid preset {preset!r}")
-    if seed is not None:
-        kwargs["seed"] = seed
-    if tolerance_scale != 1.0:
-        kwargs["tolerance_scale"] = tolerance_scale
-    if budget is not None:
-        kwargs["budget"] = budget
-    kwargs.update(extra)
-    return SUITES[name](**kwargs)
+    suite = SUITES[name]
+    given = {key: value for key, value in kwargs.items() if value is not None}
+    undeclared = sorted(set(given) - set(inspect.signature(suite).parameters))
+    if undeclared:
+        flags = ", ".join(f"{key} (--{key.replace('_', '-')})" for key in undeclared)
+        raise InvalidValue(f"suite {name!r} does not take {flags}")
+    overrides = SMOKE_OVERRIDES[name] if preset == "smoke" else {}
+    return suite(**{**overrides, **given})

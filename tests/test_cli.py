@@ -223,6 +223,18 @@ def test_integral_cli(capsys):
     assert payload["abs"] <= 1e-15
 
 
+def test_integral_json_pinned_and_text_plain(capsys):
+    code, out, _ = run(capsys, "integral", "--preset", "toy", "--c", "120", "--json")
+    assert code == 0
+    assert out == ('{"re": 1.7995707561649027e-35, "im": -1.9322522635696813e-36, '
+                   '"abs": 1.8099146097384323e-35, "err_estimate": 1e-12}\n')
+    code, out, _ = run(capsys, "integral", "--preset", "toy", "--c", "120")
+    assert code == 0
+    assert out == ("integral = 1.7995707561649027e-35 + -1.9322522635696813e-36i  "
+                   "(abs=1.8099146097384323e-35, err=1e-12)\n")
+    assert "np." not in out
+
+
 def test_cache_round_trip(capsys):
     args = ("sum", "kloosterman", "--m", "2", "--n", "3", "--c", "101", "--json")
     code1, out1, _ = run(capsys, *args)
@@ -265,8 +277,7 @@ def test_config_file(capsys, tmp_path, monkeypatch):
     monkeypatch.delenv("DELTASUM_CACHE")
     cfg_cache = tmp_path / "cfg-cache"
     cfg = tmp_path / "deltasum.conf"
-    cfg.write_text(f"cache_dir = {cfg_cache}\nworkers = 2\n"
-                   "default_tolerance_scale = 1.0\nseed = 7\n")
+    cfg.write_text(f"cache_dir = {cfg_cache}\ndefault_tolerance_scale = 1.0\n")
     code, _, _ = run(capsys, "sum", "kloosterman", "--m", "1", "--n", "1", "--c", "5",
                      "--config", str(cfg))
     assert code == 0
@@ -286,11 +297,45 @@ def test_config_env_overrides_file(capsys, tmp_path, monkeypatch):
 
 def test_bad_config_rejected(capsys, tmp_path):
     cfg = tmp_path / "bad.conf"
-    cfg.write_text("nope = 1\n")
-    code, _, err = run(capsys, "sum", "kloosterman", "--m", "1", "--n", "1", "--c", "5",
-                       "--config", str(cfg))
+    for line in ("nope = 1", "workers = 2", "seed = 7"):  # nothing reads workers or seed
+        cfg.write_text(line + "\n")
+        code, _, err = run(capsys, "sum", "kloosterman", "--m", "1", "--n", "1", "--c", "5",
+                           "--config", str(cfg))
+        assert code == 2
+        assert "unknown config key" in err and repr(line.split()[0]) in err
+
+
+@pytest.mark.parametrize("suite, flag, value", [("weil", "--trials", "3"),
+                                                ("exponent", "--seed", "9"),
+                                                ("weil", "--tolerance-scale", "5")])
+def test_verify_rejects_flag_the_suite_does_not_take(capsys, suite, flag, value):
+    code, out, err = run(capsys, "verify", suite, "--grid-preset", "smoke", flag, value)
+    assert code == 2, err
+    assert out == "" and err.startswith("error: ") and flag in err
+
+
+@pytest.mark.parametrize("argv", [("verify", "weil", "--workers", "2"),
+                                  ("verify", "weil", "--budget", "1"),
+                                  ("sum", "ramanujan", "--q", "6", "--n", "1",
+                                   "--workers", "2")])
+def test_removed_flags_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
     assert code == 2
-    assert "unknown config key" in err
+    assert out == "" and argv[-2] in err
+
+
+@pytest.mark.parametrize("suite", ["weil", "c3", "c1"])
+def test_config_tolerance_scale_reaches_only_suites_that_take_it(capsys, tmp_path, suite):
+    cfg = tmp_path / "deltasum.conf"
+    cfg.write_text("default_tolerance_scale = 2\n")
+    code, out, err = run(capsys, "verify", suite, "--grid-preset", "smoke", "--json",
+                         "--config", str(cfg))
+    assert code == 0, err
+    # weil takes no tolerance scale and runs as without the config; c3 and c1 run at 2
+    same_as = () if suite == "weil" else ("--tolerance-scale", "2")
+    assert out == run(capsys, "verify", suite, "--grid-preset", "smoke", "--json", *same_as)[1]
+    if suite == "c1":  # c1's smoke report shows the scale in its worst deviation
+        assert out != run(capsys, "verify", suite, "--grid-preset", "smoke", "--json")[1]
 
 
 def test_byte_identical_stdout_repeated_runs(capsys):

@@ -1,8 +1,11 @@
-"""Byte-level pins: the inverse table against pow(), every suite's smoke
-report against its recorded sha256, and the window integrals' bits.
+"""Byte-level pins: the inverse table against pow(), every suite's smoke and
+default-grid report against its recorded sha256, and the window integrals'
+bits.
 
-The report hashes were recorded with the scalar case-by-case sweeps,
-before the batched kernels replaced them, and the integral bits with the
+The smoke hashes were recorded with the scalar case-by-case sweeps,
+before the batched kernels replaced them; the default-grid hashes, before
+one sweep accumulator replaced each suite's own bookkeeping (they equal
+perfbench/meta.json's suite_sha256); and the integral bits with the
 panel-by-panel recursive quadrature and scalar Bessel calls, before the
 level-synchronous batched loop replaced them; a faster path must not move
 a single byte of any report or a single bit of any integral.
@@ -33,9 +36,25 @@ SMOKE_REPORT_SHA256 = {
     "weil": "b2af98aeb9b1db5dfc7032e607a5880fccb119ecc371908c69e5a890e95e93c8",
 }
 
+# `verify <suite> --json --grid-preset default`, the contractual grids
+DEFAULT_REPORT_SHA256 = {
+    "bessel-decay": "a69d33d845226e7c8c8e9229ecea32150c3b17dd059120c420b474b845d2811b",
+    "c1": "43f2bbb0446329c1b3425bad6cb439afe36114a75cd0f6e4027abfe2c146afa3",
+    "c2": "a36f24660cc47b435499c6e614f866e67817b545c4830726f1d4359da3f1b544",
+    "c3": "ba232c9739679f75cbd1ab43c7b793766a1b7f70f43ed8d333b21a56f8db1cf9",
+    "c4": "377d72ecbce2d7a75a21206c143708bdea697d8082703f6e4da80b93f9834fa5",
+    "dsum-cancel": "3cb82fb73b91aee2a64b2038be1fd6574dcdc9874e31a7b91cb0dbbd3a0cc8ed",
+    "exponent": "efe510abe394d6b569d7f6ce1c42d29e3295892aaeb3c35f3960616a13b60017",
+    "psi-average": "3cce5d3bdfe8b2600b040b63c957dac0dd4971a173867ecce5b70ffd12cd1e45",
+    "reciprocity": "c67caf58f1b4dfe71d0d573baa90a702e9be3038488897e73eb513c6503696b8",
+    "twisted-split": "5fb2de6d94ba97476df45cc0decbf8a90cbdf035412d62b98c3a9b8d37f85c03",
+    "voronoi-char": "04097c68a8af570477cad45cbd67e58fd6a1cad983d8d259483342b308ff1034",
+    "weil": "5df06fcb048bd6dbe0b9b81b4a11d9fa41a603e9e2cb85413f54c74a7bc8ab35",
+}
+
 
 def test_pins_cover_every_suite():
-    assert set(SMOKE_REPORT_SHA256) == set(SUITES)
+    assert set(SMOKE_REPORT_SHA256) == set(DEFAULT_REPORT_SHA256) == set(SUITES)
 
 
 @pytest.mark.parametrize("suite", sorted(SMOKE_REPORT_SHA256))
@@ -45,6 +64,15 @@ def test_smoke_report_bytes_pinned(suite, tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SMOKE_REPORT_SHA256[suite]
+
+
+@pytest.mark.parametrize("suite", sorted(DEFAULT_REPORT_SHA256))
+def test_default_report_bytes_pinned(suite, tmp_path, capsys):
+    code = main(["verify", suite, "--json", "--grid-preset", "default",
+                 "--cache-dir", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DEFAULT_REPORT_SHA256[suite]
 
 
 def test_inverse_table_matches_pow_small_moduli():

@@ -1,14 +1,18 @@
 import csv
+import inspect
 import json
 import math
 
+import numpy as np
 import pytest
 
+from deltasum.errors import InvalidValue
 from deltasum.expsums import voronoi_char_sum_closed
 from deltasum.scan import Lcg, ScanReport, append_ledger
 from deltasum.suites import (
     SMOKE_OVERRIDES,
     SUITES,
+    _Sweep,
     bessel_decay_case,
     c1_case,
     c2_case,
@@ -61,8 +65,9 @@ def test_every_smoke_suite_passes():
 
 def test_reports_are_deterministic_across_reruns():
     for name in SUITES:
-        r1 = run_suite(name, preset="smoke", seed=9)
-        r2 = run_suite(name, preset="smoke", seed=9)
+        seed = 9 if "seed" in inspect.signature(SUITES[name]).parameters else None
+        r1 = run_suite(name, preset="smoke", seed=seed)
+        r2 = run_suite(name, preset="smoke", seed=seed)
         assert r1.to_json() == r2.to_json()
         assert r1.to_json().encode() == r2.to_json().encode()
 
@@ -132,6 +137,47 @@ def test_run_suite_rejects_unknown():
         run_suite("nope")
     with pytest.raises(KeyError):
         run_suite("weil", preset="huge")
+
+
+@pytest.mark.parametrize("name, keyword", [("weil", "trials"), ("exponent", "seed"),
+                                           ("weil", "tolerance_scale"),
+                                           ("psi-average", "budget"), ("c3", "seed")])
+def test_run_suite_rejects_undeclared_keywords(name, keyword):
+    with pytest.raises(InvalidValue, match=keyword):
+        run_suite(name, preset="smoke", **{keyword: 1})
+    run_suite(name, preset="smoke", **{keyword: None})  # None means not given
+
+
+def test_suites_declare_only_what_they_read():
+    for name, suite in SUITES.items():
+        params = inspect.signature(suite).parameters.values()
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params), name
+
+
+def test_sweep_witness_is_first_case_reaching_the_max():
+    sweep = _Sweep()
+    for witness, dev in [("a", 0.0), ("b", 0.0), ("c", 0.5), ("d", 0.5), ("e", 0.25)]:
+        sweep.add(witness, dev)
+    report = sweep.report("demo", {}, ceiling=0.5)
+    assert (report.cases, report.max_deviation, report.worst_witness) == (5, 0.5, ("c",))
+    assert report.passed and not sweep.report("demo", {}, ceiling=0.4).passed
+    # the first case offered sets the witness even when every deviation is 0
+    sweep = _Sweep()
+    sweep.offer(np.zeros(3), np.zeros(3), lambda i: (i,), lambda i: 0.0)
+    assert (sweep.cases, sweep.worst, sweep.witness) == (3, 0.0, (0,))
+
+
+def test_sweep_offer_matches_add_case_by_case():
+    devs = np.round(np.random.default_rng(0).random(200), 1)  # many ties
+    by_add, by_offer = _Sweep(), _Sweep()
+    for i, dev in enumerate(devs.tolist()):
+        by_add.add((i,), dev)
+    for block in np.split(np.arange(200), [7, 50, 51, 120]):
+        by_offer.offer(devs[block], np.full(block.size, 1e-3),
+                       lambda i, block=block: (int(block[i]),), lambda i: float(devs[i]))
+    expected = (200, float(devs.max()), (int(np.argmax(devs)),))
+    assert (by_offer.cases, by_offer.worst, by_offer.witness) == expected
+    assert (by_add.cases, by_add.worst, by_add.witness) == expected
 
 
 def test_c3_suite_records_observed_ceiling():
