@@ -66,8 +66,7 @@ from .oscillatory import (
     IntegralParams,
     WindowFunction,
     bessel_j,
-    decay_scan,
-    integral_I,
+    integral_value_and_error,
     transition_cutoff,
 )
 from .scan import Lcg, ScanReport

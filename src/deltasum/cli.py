@@ -20,6 +20,7 @@ suite that does not take one of them rejects it with exit 2.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import inspect
@@ -27,13 +28,13 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 
 from . import __version__
 from .characters import DirichletCharacter, gauss_sum
 from .errors import ComputationError, DomainError
 from .exponent import minimize_max, paper_bound_problem, parse_problem_file, staged_elimination
 from .expsums import (
+    DEFAULT_BUDGET,
     c3_closed,
     c4_correlation,
     d_sum,
@@ -41,7 +42,7 @@ from .expsums import (
     ramanujan_sum,
     twisted_kloosterman,
 )
-from .oscillatory import IntegralParams, WindowFunction, bessel_j, integral_value_and_error
+from .oscillatory import TOY_PARAMS, TOY_THETA, WindowFunction, bessel_j, integral_value_and_error
 from .scan import append_ledger
 from .suites import SUITES, run_suite
 
@@ -49,7 +50,7 @@ DEFAULT_CACHE_DIR = os.path.join(os.path.expanduser("~"), ".cache", "deltasum")
 SUM_KINDS = ("kloosterman", "twisted", "gauss", "ramanujan", "dsum", "c3", "c4")
 
 
-@dataclass
+@dataclasses.dataclass
 class CliConfig:
     cache_dir: str = DEFAULT_CACHE_DIR
     default_tolerance_scale: float = 1.0
@@ -70,7 +71,11 @@ def load_config(path):
             if key == "cache_dir":
                 config.cache_dir = value
             elif key == "default_tolerance_scale":
-                config.default_tolerance_scale = float(value)
+                try:
+                    config.default_tolerance_scale = float(value)
+                except ValueError:
+                    raise DomainError(f"{path}:{line_no}: default_tolerance_scale "
+                                      f"must be a number, got {value!r}") from None
             else:
                 raise DomainError(f"{path}:{line_no}: unknown config key {key!r}")
     return config
@@ -175,7 +180,7 @@ def _require(args, names):
 
 def run_sum(args, config):
     kind = args.kind
-    budget = args.budget or 10**7
+    budget = DEFAULT_BUDGET if args.budget is None else args.budget
     if kind == "kloosterman":
         _require(args, ["m", "n", "c"])
         out = _sum_payload(kloosterman(args.m, args.n, args.c, budget))
@@ -267,18 +272,11 @@ def run_bessel(args, config):
     return repr(value), 0
 
 
-TOY_INTEGRAL = {"N": 1e6, "n": 10**6, "p": 11, "ell": 3, "c": 29.0, "M": 10**4,
-                "m": 1, "k": 43, "theta": 1.0 / 154.0}
-
-
 def run_integral(args, config):
-    values = dict(TOY_INTEGRAL)
-    for key in ("N", "n", "p", "ell", "c", "M", "m", "k", "theta"):
-        arg = getattr(args, key)
-        if arg is not None:
-            values[key] = arg
-    theta = values.pop("theta")
-    params = IntegralParams(**values)
+    params = dataclasses.replace(TOY_PARAMS, **{
+        field.name: getattr(args, field.name) for field in dataclasses.fields(TOY_PARAMS)
+        if getattr(args, field.name) is not None})
+    theta = TOY_THETA if args.theta is None else args.theta
     window = WindowFunction(args.window, theta if args.window == "plateau" else 0.0)
     value, err = integral_value_and_error(params, window, args.tol)
     value, err = complex(value), float(err)

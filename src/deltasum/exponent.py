@@ -120,10 +120,6 @@ class OptimizationResult:
     value: Fraction
     active_terms: tuple
 
-    def as_strings(self):
-        xP, xL, th = self.point
-        return {"xP": str(xP), "xL": str(xL), "theta": str(th), "value": str(self.value)}
-
 
 def _solve_square(rows):
     """Solve a square exact linear system given as [A | b] rows, or None."""

@@ -2,8 +2,14 @@
 
 Conventions shared by every sum here:
 
-* summation order is ascending residue and the final reduction is
-  math.fsum (exact compensated summation), so results are reproducible;
+* summation order is ascending residue, and the reduction is fixed per
+  sum, so results are reproducible.  Most sums reduce by math.fsum,
+  which is correctly rounded and so order-free.  Three do not:
+  c3_raw adds its terms one by one (+=) in ascending b, c3_closed uses
+  numpy's pairwise ndarray.sum, and _kloosterman_row (the two
+  Kloosterman rows under c4_correlation) uses np.sum, also pairwise, for
+  each y; c4_correlation's own sum over a is an fsum.  psi_average_raw
+  fsums each character's row and adds the rows (+=) in character order;
 * roots of unity come from per-modulus tables built from exactly reduced
   fractions j/c;
 * each result carries the summand count and a conservative bound on the
@@ -18,7 +24,7 @@ voronoi_char_sums_raw), and fsum_rows reduces each row.  The scalar
 functions are that layer with a single row.  Sweeps may locate their
 worst case with numpy row sums (ndarray.sum, pairwise order), but those
 sums only pick candidates: every number that is reported still comes
-from the ascending-order fsum route.
+from the scalar function, with the reduction stated above.
 """
 
 from __future__ import annotations
@@ -316,7 +322,7 @@ def c3_raw(v, M, chi):
     """Autocorrelation of D over the scaling v, as the congruence pair sum.
 
     M * sum over admissible b, b' mod M with b'^-1 = 1 + (b^-1 - 1)v of
-    conj(chi)(b-1) chi(b'-1); enumerated directly over b.
+    conj(chi)(b-1) chi(b'-1); enumerated directly over b and added with +=.
     """
     v, inv, chiv = _c3_context(v, M, chi)
     total = 0j
@@ -334,7 +340,8 @@ def c3_raw(v, M, chi):
 
 
 def c3_closed(v, M, chi):
-    """Closed form M * sum over b mod M, b != 0,1 of conj(chi)(1 + b(v^-1 - 1))."""
+    """Closed form M * sum over b mod M, b != 0,1 of conj(chi)(1 + b(v^-1 - 1)),
+    reduced by numpy's pairwise ndarray.sum."""
     v, inv, chiv = _c3_context(v, M, chi)
     vbar = int(inv[v - 1])
     bs = np.arange(2, M, dtype=np.int64)
@@ -345,7 +352,8 @@ def c3_closed(v, M, chi):
 
 
 def _kloosterman_row(m1, modulus):
-    """S(m1, y; modulus) for every y mod modulus, as a complex array."""
+    """S(m1, y; modulus) for every y mod modulus, as a complex array; each
+    S is reduced by numpy's pairwise np.sum."""
     xs, inv = units_and_inverses(modulus)
     w = unit_roots(modulus)
     base = w[(m1 % modulus) * xs % modulus]

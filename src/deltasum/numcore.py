@@ -173,9 +173,6 @@ class RationalAngle:
     def __neg__(self):
         return RationalAngle(-self.numerator, self.denominator)
 
-    def is_zero(self):
-        return self.numerator == 0
-
     def to_complex(self):
         """e(x) = exp(2*pi*i*x), evaluated from the reduced fraction."""
         t = TAU * self.numerator / self.denominator

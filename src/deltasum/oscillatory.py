@@ -28,21 +28,24 @@ QuadratureNonConvergence, so memory stays bounded however small c or tol
 is.  Panel sums add the nodes in Gauss-Legendre order, and the value and
 error estimate are combined in the depth-first order of the recursive
 rule, so both are bit-identical to evaluating the panels one by one.
+
+The module only computes: the kernels, the window, the integral, the
+truncation scales of transition_cutoff and the toy preset.  Sweeping a
+grid and judging it is left to the suites (the bessel-decay suite).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidValue, QuadratureNonConvergence
-from .scan import ScanReport
 
 MAX_BESSEL_ORDER = 200
 _GL_ORDER = 15
-_gl_nodes = None
 _MAX_DEPTH = 48
 _MAX_BATCH_NODES = 8192  # integrand nodes per batched call
 _MAX_PANELS = 2**17  # pending panels per bisection level
@@ -255,8 +258,9 @@ class IntegralParams:
     N is the dyadic length, n the dual variable (of size about N at the
     transition), p and ell primes, M the large prime, m the secondary
     dyadic index and k the weight (k = 3 mod 4, k >= 7).  c is kept real:
-    in the sums it is a positive integer, but the decay scans evaluate
-    the integral at arbitrary positive multiples of the transition scale.
+    in the sums it is a positive integer, but the bessel-decay suite
+    evaluates the integral at arbitrary positive multiples of the
+    transition scale.
     """
 
     N: float
@@ -275,12 +279,18 @@ class IntegralParams:
             raise InvalidValue("the weight k must be >= 7 with k = 3 mod 4")
 
 
+# The toy preset: `integral --preset toy` (flags override single fields) and
+# the bessel-decay suite (which replaces c) both start from it.
+TOY_PARAMS = IntegralParams(N=1e6, n=10**6, p=11, ell=3, c=29.0, M=10**4, m=1, k=43)
+TOY_THETA = 1.0 / 154.0  # theta of the toy preset's plateau window
+
+
+@functools.cache
 def _gauss_nodes():
-    global _gl_nodes
-    if _gl_nodes is None:
-        x, w = np.polynomial.legendre.leggauss(_GL_ORDER)
-        _gl_nodes = (x, w)
-    return _gl_nodes
+    x, w = np.polynomial.legendre.leggauss(_GL_ORDER)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def _panel_values(f, a, b):
@@ -409,10 +419,6 @@ def integral_value_and_error(params, window, tol=1e-12):
     return total, max(err, tol)
 
 
-def integral_I(params, window, tol=1e-12):
-    return integral_value_and_error(params, window, tol)[0]
-
-
 def transition_cutoff(N, L, P, M, m=1, eps=0.01, mode="bessel-c", theta=None):
     """Truncation scales for the oscillatory kernels.
 
@@ -432,44 +438,3 @@ def transition_cutoff(N, L, P, M, m=1, eps=0.01, mode="bessel-c", theta=None):
         upper = M ** (2 + 4 * theta) * M**eps * P / (N * L)
         return lower, upper
     raise InvalidValue(f"unknown mode {mode!r}")
-
-
-NEGLIGIBLE = 1e-15
-TRIVIAL_RATIO_CEILING = 100.0
-
-
-def decay_scan(base, c_multipliers, L, P, eps=0.01, window=None, tol=1e-12):
-    """Evaluate |integral| at c = t * cutoff for each multiplier t.
-
-    Checks (a) |I| <= 1e-15 once t >= 4 (the kernel is far past its
-    transition there) and (b) |I| * N * L/(c P M m) <= 100 for every t
-    (the second-derivative bound with a generous constant).
-    """
-    if window is None:
-        window = WindowFunction("plateau", 1.0 / 154.0)
-    cutoff = transition_cutoff(base.N, L, P, base.M, base.m, eps)
-    rows = []
-    worst = (0.0, None)
-    cases = 0
-    for t in c_multipliers:
-        c = t * cutoff
-        params = IntegralParams(base.N, base.n, base.p, base.ell, c, base.M, base.m, base.k)
-        val = float(abs(integral_I(params, window, tol)))
-        trivial_scale = c * P * base.M * base.m / (base.N * L)
-        ratio = val / trivial_scale
-        negligible = bool(val <= NEGLIGIBLE)
-        rows.append({"multiplier": float(t), "c": float(c), "abs_integral": val,
-                     "trivial_ratio": ratio, "negligible": negligible})
-        cases += 1
-        checks = [(ratio / TRIVIAL_RATIO_CEILING, ("trivial-bound", t))]
-        if t >= 4:
-            checks.append((val / NEGLIGIBLE, ("negligible", t)))
-        for dev, witness in checks:
-            if dev > worst[0]:
-                worst = (dev, witness)
-    passed = worst[0] <= 1.0
-    grid = {"multipliers": list(c_multipliers), "N": base.N, "n": base.n, "p": base.p,
-            "ell": base.ell, "M": base.M, "m": base.m, "k": base.k,
-            "L": L, "P": P, "eps": eps, "cutoff": cutoff}
-    return ScanReport("bessel-decay", grid, cases, worst[0], worst[1], passed,
-                      notes={"rows": rows})

@@ -4,15 +4,18 @@ Every suite walks a deterministic grid (seeded through the documented LCG
 when it is random), evaluates the raw and closed-form routes of one
 identity or one bound, and reports the worst normalized deviation and the
 witness that produced it.  Pass thresholds are exactly the tolerances of
-the owning modules; the suites add no slack of their own.
+the owning modules (`bessel-decay`'s two belong to no kernel and live
+here); the suites add no slack of their own.
 
-One accumulator, `_Sweep`, keeps the bookkeeping of every suite, so all
-twelve share one witness rule and one pass rule.  The witness is the first
-case that reaches the maximum: a case replaces the running worst only if
-its deviation is strictly larger, and the first case offered always sets
-it.  A suite passes when its worst deviation is at most its ceiling: 1.0
-for the normalized deviations, 0.0 for the exact checks (`reciprocity`,
-`exponent`) and the |D(u; M)|/sqrt(M) ceiling 4.0 for `dsum-cancel`.
+Only this module sweeps cases and builds reports; the kernels only
+compute.  One accumulator, `_Sweep`, keeps the bookkeeping of every
+suite, so all twelve share one witness rule and one pass rule.  The
+witness is the first case that reaches the maximum: a case replaces the
+running worst only if its deviation is strictly larger, and the first
+case offered always sets it.  A suite passes when its worst deviation is
+at most its ceiling: 1.0 for the normalized deviations, 0.0 for the exact
+checks (`reciprocity`, `exponent`) and the |D(u; M)|/sqrt(M) ceiling 4.0
+for `dsum-cancel`.
 
 Each suite has a matching *_case function that re-evaluates one witness,
 so a stored report can be re-checked bit for bit.  A suite declares only
@@ -24,6 +27,7 @@ from __future__ import annotations
 import inspect
 import math
 import time
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 import numpy as np
@@ -52,7 +56,14 @@ from .expsums import (
     voronoi_char_sums_raw,
 )
 from .numcore import RationalAngle, angle_add, divisor_count, mod_inv, primes_between
-from .oscillatory import IntegralParams, bessel_j, decay_scan
+from .oscillatory import (
+    TOY_PARAMS,
+    TOY_THETA,
+    WindowFunction,
+    bessel_j,
+    integral_value_and_error,
+    transition_cutoff,
+)
 from .scan import Lcg, ScanReport
 
 
@@ -464,38 +475,55 @@ def suite_dsum_cancel(M_max=300, ceiling=4.0):
 
 # -------------------------------------------------------------- bessel decay
 
-TOY_PARAMS = IntegralParams(N=1e6, n=10**6, p=11, ell=3, c=1.0, M=10**4, m=1, k=43)
 TOY_L = 10.0 ** (36.0 / 77.0)
 TOY_P = 10.0 ** (80.0 / 77.0)
+DECAY_EPS = 0.01
+DECAY_CUTOFF = transition_cutoff(TOY_PARAMS.N, TOY_L, TOY_P, TOY_PARAMS.M, TOY_PARAMS.m,
+                                 DECAY_EPS)
+NEGLIGIBLE = 1e-15  # the |I| ceiling once t >= 4
+TRIVIAL_RATIO_CEILING = 100.0  # the second-derivative bound, with a generous constant
+
+
+def _decay_row(t):
+    """|I| at c = t * DECAY_CUTOFF, its ratio to the trivial bound c P M m/(N L),
+    and whether it is negligible."""
+    c, base = t * DECAY_CUTOFF, TOY_PARAMS
+    window = WindowFunction("plateau", TOY_THETA)
+    val = float(abs(integral_value_and_error(replace(base, c=c), window)[0]))
+    trivial_scale = c * TOY_P * base.M * base.m / (base.N * TOY_L)
+    return {"multiplier": float(t), "c": float(c), "abs_integral": val,
+            "trivial_ratio": val / trivial_scale, "negligible": bool(val <= NEGLIGIBLE)}
 
 
 def bessel_decay_case(kind, *params):
-    """Re-evaluate one decay-scan witness at the toy parameters."""
+    """Re-evaluate one bessel-decay witness at the toy parameters."""
     if kind == "recurrence":
         nu, x = int(params[0]), float(params[1])
         res = abs(bessel_j(nu - 1, x) + bessel_j(nu + 1, x)
                   - (2.0 * nu / x) * bessel_j(nu, x))
         return res / (1e-9 * max(1.0, abs(bessel_j(nu, x))))
-    from .oscillatory import NEGLIGIBLE, TRIVIAL_RATIO_CEILING
-
-    t = float(params[0])
-    report = decay_scan(TOY_PARAMS, (t,), L=TOY_L, P=TOY_P, eps=0.01)
-    row = report.notes["rows"][0]
+    row = _decay_row(float(params[0]))
     if kind == "negligible":
         return row["abs_integral"] / NEGLIGIBLE
     return row["trivial_ratio"] / TRIVIAL_RATIO_CEILING
 
 
 def suite_bessel_decay(multipliers=(0.25, 0.5, 1.0, 2.0, 4.0, 8.0)):
-    """Decay scan at toy parameters plus the recurrence residual grid."""
+    """For each multiplier t, |I| <= 100 times the trivial bound, and
+    |I| <= 1e-15 once t >= 4; plus the recurrence residual grid."""
     sweep = _Sweep()
-    report = decay_scan(TOY_PARAMS, multipliers, L=TOY_L, P=TOY_P, eps=0.01)
-    sweep.add(report.worst_witness, report.max_deviation, count=report.cases)
+    rows = [_decay_row(t) for t in multipliers]
+    for t, row in zip(multipliers, rows):
+        sweep.add(("trivial-bound", t), row["trivial_ratio"] / TRIVIAL_RATIO_CEILING)
+        if t >= 4:
+            sweep.add(("negligible", t), row["abs_integral"] / NEGLIGIBLE, count=0)
     for nu in range(6, 61, 6):
         for x in np.geomspace(0.1, 200.0, 12).tolist():
             sweep.add(("recurrence", nu, x), bessel_decay_case("recurrence", nu, x))
-    grid = dict(report.grid, recurrence_nu="6..60 step 6")
-    return sweep.report("bessel-decay", grid, notes=report.notes)
+    toy = {k: v for k, v in asdict(TOY_PARAMS).items() if k != "c"}  # report key order
+    grid = {"multipliers": list(multipliers), **toy, "L": TOY_L, "P": TOY_P,
+            "eps": DECAY_EPS, "cutoff": DECAY_CUTOFF, "recurrence_nu": "6..60 step 6"}
+    return sweep.report("bessel-decay", grid, notes={"rows": rows})
 
 
 # ------------------------------------------------------------------ exponent
@@ -569,7 +597,8 @@ def run_suite(name, preset="default", **kwargs):
     """Run one suite at a grid preset; keywords override the suite's own.
 
     A keyword given as None counts as not given.  Any other keyword the
-    suite does not declare raises InvalidValue: no setting is ignored.
+    suite does not declare raises InvalidValue: no setting is ignored.  So
+    does a tolerance_scale that is not finite and > 0.
     """
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
@@ -581,5 +610,8 @@ def run_suite(name, preset="default", **kwargs):
     if undeclared:
         flags = ", ".join(f"{key} (--{key.replace('_', '-')})" for key in undeclared)
         raise InvalidValue(f"suite {name!r} does not take {flags}")
+    scale = given.get("tolerance_scale", 1.0)
+    if not (scale > 0 and math.isfinite(scale)):  # a scale <= 0 would switch every check off
+        raise InvalidValue(f"tolerance_scale must be finite and > 0, got {scale}")
     overrides = SMOKE_OVERRIDES[name] if preset == "smoke" else {}
     return suite(**{**overrides, **given})

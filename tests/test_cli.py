@@ -86,6 +86,13 @@ def test_budget_exceeded_exits_3(capsys):
     assert "budget" in err.lower()
 
 
+def test_zero_budget_is_honoured(capsys):
+    code, out, err = run(capsys, "sum", "kloosterman", "--m", "1", "--n", "1",
+                         "--c", "100", "--budget", "0", "--no-cache")
+    assert code == 3
+    assert out == "" and "budget 0" in err
+
+
 def test_domain_error_exits_2(capsys):
     code, _, _ = run(capsys, "sum", "gauss", "--modulus", "8", "--chi-index", "1")
     assert code == 2
@@ -303,6 +310,32 @@ def test_bad_config_rejected(capsys, tmp_path):
                            "--config", str(cfg))
         assert code == 2
         assert "unknown config key" in err and repr(line.split()[0]) in err
+
+
+def test_unparsable_config_value_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "bad.conf"
+    cfg.write_text("# scale\ndefault_tolerance_scale = abc\n")
+    code, out, err = run(capsys, "verify", "c1", "--grid-preset", "smoke",
+                         "--config", str(cfg))
+    assert code == 2
+    assert out == "" and f"{cfg}:2:" in err and "'abc'" in err
+
+
+@pytest.mark.parametrize("scale", ["-1000", "0", "-0", "nan", "inf"])
+def test_bad_tolerance_scale_flag_exits_2(capsys, scale):
+    code, out, err = run(capsys, "verify", "c1", "--grid-preset", "smoke",
+                         "--tolerance-scale", scale)
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and "tolerance_scale" in err
+
+
+def test_bad_config_tolerance_scale_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "deltasum.conf"
+    cfg.write_text("default_tolerance_scale = -5\n")
+    code, out, err = run(capsys, "verify", "c1", "--grid-preset", "smoke",
+                         "--config", str(cfg))
+    assert code == 2
+    assert out == "" and "tolerance_scale" in err and "-5" in err
 
 
 @pytest.mark.parametrize("suite, flag, value", [("weil", "--trials", "3"),

@@ -7,15 +7,15 @@ import pytest
 
 from deltasum.errors import InvalidValue, OutOfRange
 from deltasum.oscillatory import (
+    TOY_PARAMS,
+    TOY_THETA,
     IntegralParams,
     WindowFunction,
     bessel_j,
-    decay_scan,
-    integral_I,
     integral_value_and_error,
     transition_cutoff,
 )
-from deltasum.suites import TOY_L, TOY_P, TOY_PARAMS
+from deltasum.suites import TOY_L, TOY_P
 
 # frozen high-precision oracle values (40-digit arithmetic, computed offline)
 BESSEL_ORACLE = [
@@ -243,7 +243,7 @@ def test_bessel_mpmath_oracle_at_regime_boundaries(nu):
 def test_integral_tiny_bessel_argument():
     # 4 pi sqrt(N n ell^2)/(c p M) << 1 with k = 43: astronomically small
     params = IntegralParams(N=100.0, n=1, p=11, ell=3, c=1000.0, M=10**4, k=43)
-    val = integral_I(params, WindowFunction("plateau", 1.0 / 154.0))
+    val, _ = integral_value_and_error(params, WindowFunction("plateau", 1.0 / 154.0))
     assert abs(val) <= 1e-20
 
 
@@ -297,20 +297,13 @@ def test_transition_cutoff_examples():
         transition_cutoff(N, L, P, M, mode="nope")
 
 
-def test_decay_scan_toy():
-    report = decay_scan(TOY_PARAMS, (0.25, 1.0, 4.0, 8.0), L=TOY_L, P=TOY_P, eps=0.01)
-    assert report.passed
-    rows = {row["multiplier"]: row for row in report.notes["rows"]}
-    assert rows[4.0]["negligible"] and rows[8.0]["negligible"]
-    assert all(row["trivial_ratio"] <= 100.0 for row in report.notes["rows"])
-
-
 def test_decay_scan_higher_weight_decays_more():
-    window = WindowFunction("plateau", 1.0 / 154.0)
+    window = WindowFunction("plateau", TOY_THETA)
     cutoff = transition_cutoff(TOY_PARAMS.N, TOY_L, TOY_P, TOY_PARAMS.M, 1, 0.01)
     c = 4.0 * cutoff
     low = IntegralParams(TOY_PARAMS.N, TOY_PARAMS.n, TOY_PARAMS.p, TOY_PARAMS.ell,
                          c, TOY_PARAMS.M, 1, 11)
     high = IntegralParams(TOY_PARAMS.N, TOY_PARAMS.n, TOY_PARAMS.p, TOY_PARAMS.ell,
                           c, TOY_PARAMS.M, 1, 43)
-    assert abs(integral_I(high, window)) <= abs(integral_I(low, window)) + 1e-18
+    assert (abs(integral_value_and_error(high, window)[0])
+            <= abs(integral_value_and_error(low, window)[0]) + 1e-18)

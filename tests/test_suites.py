@@ -186,6 +186,28 @@ def test_c3_suite_records_observed_ceiling():
     assert 0 < observed <= 3.0  # the exact off-diagonal value is at most 2M
 
 
+def test_bessel_decay_toy():
+    report = run_suite("bessel-decay", multipliers=(0.25, 1.0, 4.0, 8.0))
+    assert report.passed
+    rows = {row["multiplier"]: row for row in report.notes["rows"]}
+    assert rows[4.0]["negligible"] and rows[8.0]["negligible"]
+    assert all(row["trivial_ratio"] <= 100.0 for row in report.notes["rows"])
+
+
+def test_bessel_decay_witnesses_rerun_bit_for_bit():
+    report = run_suite("bessel-decay", preset="smoke")
+    assert tuple(report.worst_witness) == ("trivial-bound", 0.5)
+    assert repr(bessel_decay_case(*report.worst_witness)) == repr(report.max_deviation)
+    # the negligible checks never win here (the recurrence residuals are larger),
+    # so the rerun is compared with the deviation the sweep was offered
+    (row,) = [row for row in report.notes["rows"] if row["multiplier"] >= 4]
+    assert row["negligible"]
+    assert (repr(bessel_decay_case("negligible", row["multiplier"]))
+            == repr(row["abs_integral"] / 1e-15))
+    assert (repr(bessel_decay_case("trivial-bound", row["multiplier"]))
+            == repr(row["trivial_ratio"] / 100.0))
+
+
 def test_smoke_overrides_cover_every_suite():
     assert set(SMOKE_OVERRIDES) == set(SUITES)
 
