@@ -60,7 +60,6 @@ from .numcore import (
     arithmetic_functions,
     factorize,
     mod_inv,
-    p_star,
 )
 from .oscillatory import (
     IntegralParams,

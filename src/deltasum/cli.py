@@ -14,7 +14,13 @@ DELTASUM_CACHE environment variable overrides the cache_dir from either.
 The default tolerance scale reaches only the suites that take one.
 
 `verify` passes --seed, --trials and --tolerance-scale to its suite, and a
-suite that does not take one of them rejects it with exit 2.
+suite that does not take one of them rejects it with exit 2.  Likewise
+`sum --budget` is a usage error for the kinds that have no summation
+budget (gauss, ramanujan, dsum, c3).
+
+The argparse tree is built once per process, on the first `main()` call,
+and reused by later calls: `parse_args` makes a fresh namespace each time
+and help text reads the terminal width when it is printed.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import tempfile
 
 from . import __version__
 from .characters import DirichletCharacter, gauss_sum
-from .errors import ComputationError, DomainError
+from .errors import ComputationError, DomainError, InvalidValue
 from .exponent import minimize_max, paper_bound_problem, parse_problem_file, staged_elimination
 from .expsums import (
     DEFAULT_BUDGET,
@@ -48,6 +54,7 @@ from .suites import SUITES, run_suite
 
 DEFAULT_CACHE_DIR = os.path.join(os.path.expanduser("~"), ".cache", "deltasum")
 SUM_KINDS = ("kloosterman", "twisted", "gauss", "ramanujan", "dsum", "c3", "c4")
+BUDGET_KINDS = ("kloosterman", "twisted", "c4")  # the sums that --budget bounds
 
 
 @dataclasses.dataclass
@@ -91,6 +98,7 @@ def resolve_config(args):
     return config
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="deltasum",
@@ -114,7 +122,8 @@ def build_parser():
                  "--p-prime", "--q1", "--m-dprime", "--M", "--r-prime",
                  "--ell", "--ell-prime"):
         p_sum.add_argument(flag, type=int)
-    p_sum.add_argument("--budget", type=int, default=None)
+    p_sum.add_argument("--budget", type=int, default=None,
+                       help="summation budget of kloosterman, twisted and c4")
     add_common(p_sum, csv=True)
 
     p_verify = sub.add_parser("verify", help="run one verification suite")
@@ -180,6 +189,8 @@ def _require(args, names):
 
 def run_sum(args, config):
     kind = args.kind
+    if args.budget is not None and kind not in BUDGET_KINDS:
+        raise InvalidValue(f"sum {kind} does not take --budget")
     budget = DEFAULT_BUDGET if args.budget is None else args.budget
     if kind == "kloosterman":
         _require(args, ["m", "n", "c"])

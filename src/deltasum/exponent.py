@@ -8,11 +8,18 @@ the epigraph polytope, and the staged pairwise elimination that equates
 terms in a fixed order.  Strict inequalities among the constraints are
 optimized over their closure; the returned optimum is checked against the
 strict versions afterwards.
+
+Vertex enumeration stays in integers: each row is scaled by the lcm of its
+denominators, each square system is solved by fraction-free (Bareiss)
+elimination over its determinant, and feasibility and the objective are
+compared as integer numerators over that determinant.  Only the optimum
+is converted to `Fraction`.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -72,12 +79,12 @@ class BoundProblem:
 
     def check_feasibility(self):
         """Find some feasible point by constraint-vertex probing."""
-        cons = self.constraints
-        for combo in itertools.combinations(range(len(cons)), 3):
-            rows = [[cons[i].a, cons[i].b, cons[i].c, cons[i].bound] for i in combo]
-            point = _solve_square(rows)
-            if point is not None and self.feasible(tuple(point)):
-                return tuple(point)
+        rows = _integer_rows((con.a, con.b, con.c, con.bound) for con in self.constraints)
+        for combo in itertools.combinations(rows, 3):
+            sol = _solve_square(combo)
+            if sol is not None and _satisfies(rows, *sol):
+                nums, det = sol
+                return tuple(Fraction(v, det) for v in nums)
         origin = (Fraction(0), Fraction(0), Fraction(0))
         if self.feasible(origin):
             return origin
@@ -121,22 +128,52 @@ class OptimizationResult:
     active_terms: tuple
 
 
+def _integer_rows(rows):
+    """Each row of exact rationals scaled by the lcm of its denominators."""
+    out = []
+    for row in rows:
+        row = [Fraction(v) for v in row]
+        scale = math.lcm(*(v.denominator for v in row))
+        out.append([v.numerator * (scale // v.denominator) for v in row])
+    return out
+
+
 def _solve_square(rows):
-    """Solve a square exact linear system given as [A | b] rows, or None."""
+    """Solve a square integer system given as [A | b] rows, or None if singular.
+
+    Bareiss elimination with row swaps, then back-substitution over the
+    common denominator.  Returns (nums, det) with det > 0 and the solution
+    x[i] = nums[i] / det; every division is exact.
+    """
     n = len(rows)
-    m = [[Fraction(v) for v in row] for row in rows]
+    m = list(rows)  # rows are replaced, never changed in place
+    prev = 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
         if pivot is None:
             return None
         m[col], m[pivot] = m[pivot], m[col]
-        inv = Fraction(1) / m[col][col]
-        m[col] = [v * inv for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [v - factor * w for v, w in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
+        top = m[col]
+        p = top[col]
+        for r in range(col + 1, n):
+            row = m[r]
+            f = row[col]
+            m[r] = [(p * v - f * w) // prev for v, w in zip(row, top)]
+        prev = p
+    det = prev
+    nums = [0] * n
+    for r in range(n - 1, -1, -1):
+        row = m[r]
+        acc = det * row[n] - sum(row[j] * nums[j] for j in range(r + 1, n))
+        nums[r] = acc // row[r]
+    if det < 0:
+        det, nums = -det, [-v for v in nums]
+    return nums, det
+
+
+def _satisfies(rows, nums, det):
+    """Every integer row a.x <= b holds at x = nums / det (det > 0)."""
+    return all(sum(a * v for a, v in zip(row, nums)) <= row[-1] * det for row in rows)
 
 
 def evaluate_bound(prob, point):
@@ -155,34 +192,28 @@ def minimize_max(prob):
     enters with a zero t-coefficient.  Every choice of four rows meeting
     in a point is solved exactly; the optimum is the best feasible vertex.
     """
-    rows = []
-    for f in prob.forms:
-        cP, cL, cT = f.coeffs()
-        rows.append((cP, cL, cT, Fraction(-1), -f.constant))
-    for con in prob.constraints:
-        rows.append((con.a, con.b, con.c, Fraction(0), con.bound))
+    rows = [(*f.coeffs(), -1, -f.constant) for f in prob.forms]
+    rows += [(con.a, con.b, con.c, 0, con.bound) for con in prob.constraints]
     if not any(r[3] != 0 for r in rows):
         raise Unbounded("no objective rows")
+    rows = _integer_rows(rows)
 
-    def feasible_vertex(values):
-        return all(a * values[0] + b * values[1] + c * values[2] + d * values[3] <= bound
-                   for (a, b, c, d, bound) in rows)
-
-    best = None
-    for combo in itertools.combinations(range(len(rows)), 4):
-        system = [[rows[i][0], rows[i][1], rows[i][2], rows[i][3], rows[i][4]] for i in combo]
-        sol = _solve_square(system)
+    best = None  # (nums, det) of the first vertex with the least t = nums[3] / det
+    for combo in itertools.combinations(rows, 4):
+        sol = _solve_square(combo)
         if sol is None:
             continue
-        if not feasible_vertex(sol):
+        nums, det = sol
+        if best is not None and nums[3] * best[1] >= best[0][3] * det:
             continue
-        if best is None or sol[3] < best[3]:
+        if _satisfies(rows, nums, det):
             best = sol
     if best is None:
         prob.check_feasibility()  # raises Infeasible when the constraints are empty
         raise Unbounded("the epigraph has no feasible vertex")
-    point = (best[0], best[1], best[2])
-    value = best[3]
+    nums, det = best
+    point = tuple(Fraction(v, det) for v in nums[:3])
+    value = Fraction(nums[3], det)
     active = tuple(i for i, f in enumerate(prob.forms) if f(point) == value)
     return OptimizationResult(point, value, active)
 

@@ -45,12 +45,6 @@ class Factorization:
     n: int
     factors: tuple[tuple[int, int], ...]
 
-    def recompose(self):
-        out = 1
-        for p, e in self.factors:
-            out *= p**e
-        return out
-
 
 def factorize(n):
     if n < 1:
@@ -132,18 +126,6 @@ def is_prime(n):
 def primes_between(lo, hi):
     """Primes p with lo < p < hi (both ends exclusive)."""
     return [p for p in range(max(lo + 1, 2), hi) if is_prime(p)]
-
-
-def p_star(P):
-    """Sum of (p - 1) over primes P < p < 2P.
-
-    For an odd prime p the character average sum_{psi mod p} (1 - psi(-1))
-    equals p - 1, so this is the normalizing count of the delta-method
-    family built from odd characters.
-    """
-    if P < 1:
-        raise InvalidValue("P must be positive")
-    return sum(p - 1 for p in primes_between(P, 2 * P))
 
 
 @dataclass(frozen=True)

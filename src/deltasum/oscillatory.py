@@ -30,7 +30,7 @@ error estimate are combined in the depth-first order of the recursive
 rule, so both are bit-identical to evaluating the panels one by one.
 
 The module only computes: the kernels, the window, the integral, the
-truncation scales of transition_cutoff and the toy preset.  Sweeping a
+truncation scale of transition_cutoff and the toy preset.  Sweeping a
 grid and judging it is left to the suites (the bessel-decay suite).
 """
 
@@ -419,22 +419,9 @@ def integral_value_and_error(params, window, tol=1e-12):
     return total, max(err, tol)
 
 
-def transition_cutoff(N, L, P, M, m=1, eps=0.01, mode="bessel-c", theta=None):
-    """Truncation scales for the oscillatory kernels.
-
-    mode "bessel-c" returns the scale N*L*M**eps/(P*M*m) beyond which the
-    Bessel kernel makes the c-sum negligible.  mode "voronoi-r" returns
-    the two endpoints (M**2*P/(N*L*M**eps), M**(2+4*theta)*M**eps*P/(N*L))
-    that bracket the surviving dual r-range.
-    """
+def transition_cutoff(N, L, P, M, m=1, eps=0.01):
+    """The scale N*L*M**eps/(P*M*m) beyond which the Bessel kernel makes the
+    c-sum negligible."""
     if min(N, L, P, M, m) <= 0:
         raise InvalidValue("all parameters must be positive")
-    if mode == "bessel-c":
-        return N * L * M**eps / (P * M * m)
-    if mode == "voronoi-r":
-        if theta is None:
-            raise InvalidValue("mode voronoi-r needs theta")
-        lower = M**2 * P / (N * L * M**eps)
-        upper = M ** (2 + 4 * theta) * M**eps * P / (N * L)
-        return lower, upper
-    raise InvalidValue(f"unknown mode {mode!r}")
+    return N * L * M**eps / (P * M * m)

@@ -3,7 +3,8 @@ import os
 
 import pytest
 
-from deltasum.cli import main
+from deltasum import cli
+from deltasum.cli import build_parser, main
 
 
 @pytest.fixture(autouse=True)
@@ -91,6 +92,32 @@ def test_zero_budget_is_honoured(capsys):
                          "--c", "100", "--budget", "0", "--no-cache")
     assert code == 3
     assert out == "" and "budget 0" in err
+
+
+TWISTED_ARGS = ("twisted", "--m", "1", "--n", "1", "--c", "3", "--p", "3", "--psi-index", "1")
+C4_ARGS = ("c4", "--c2", "1", "--q2-tilde", "1", "--p", "11", "--p-prime", "13", "--q1", "1",
+           "--m-dprime", "1", "--M", "101", "--h", "1", "--n", "3", "--r-prime", "3",
+           "--ell", "5", "--ell-prime", "7")
+
+
+@pytest.mark.parametrize("argv", [TWISTED_ARGS, C4_ARGS])
+def test_zero_budget_exits_3_for_the_other_budgeted_sums(capsys, argv):
+    code, out, err = run(capsys, "sum", *argv, "--budget", "0", "--no-cache")
+    assert code == 3, err
+    assert out == "" and "budget" in err
+    assert run(capsys, "sum", *argv, "--no-cache")[0] == 0
+
+
+@pytest.mark.parametrize("argv", [("gauss", "--modulus", "7", "--chi-index", "1"),
+                                  ("ramanujan", "--q", "6", "--n", "1"),
+                                  ("dsum", "--u", "0", "--modulus", "7", "--chi-index", "3"),
+                                  ("c3", "--v", "1", "--modulus", "7", "--chi-index", "1")])
+def test_budget_rejected_by_sums_without_one(capsys, argv):
+    for budget in ("0", "10000000"):
+        code, out, err = run(capsys, "sum", *argv, "--budget", budget)
+        assert code == 2
+        assert out == "" and err == f"error: sum {argv[0]} does not take --budget\n"
+    assert run(capsys, "sum", *argv)[0] == 0
 
 
 def test_domain_error_exits_2(capsys):
@@ -378,3 +405,46 @@ def test_byte_identical_stdout_repeated_runs(capsys):
                         "--seed", "5", "--json")
         outs.add(out)
     assert len(outs) == 1
+
+
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+
+
+REUSE_SEQUENCE = [
+    (("sum", "kloosterman", "--m", "1", "--n", "1", "--c", "100", "--budget", "10"), 3),
+    (("sum", "kloosterman", "--m", "1", "--n", "1", "--c", "100"), 0),  # default budget
+    (("integral", "--c", "9", "--json"), 0),
+    (("integral", "--json"), 0),  # the toy c = 29, not the 9 parsed before
+    (("optimize", "--paper", "--problem", "x.prob"), 2),  # usage error
+    (("--version",), 0),
+    (("optimize", "--paper", "--exact"), 0),
+    (("verify", "exponent", "--grid-preset", "smoke", "--json"), 0),
+]
+
+
+def test_reused_parser_matches_a_fresh_parser_per_call(capsys, monkeypatch, tmp_path):
+    parser = build_parser()
+    results = {}
+    for mode in ("reused", "fresh"):
+        monkeypatch.setenv("DELTASUM_CACHE", str(tmp_path / mode))
+        if mode == "fresh":
+            monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+        results[mode] = [run(capsys, *argv)[:2] for argv, _ in REUSE_SEQUENCE]
+    assert build_parser() is parser
+    assert results["reused"] == results["fresh"]
+    assert [code for code, _ in results["reused"]] == [code for _, code in REUSE_SEQUENCE]
+    (_, c9), (_, c29) = results["reused"][2:4]
+    assert c9 != c29
+    assert c29 == run(capsys, "integral", "--c", "29", "--json", "--no-cache")[1]
+
+
+def test_help_of_the_cached_parser_reads_columns_when_printed(capsys, monkeypatch):
+    build_parser()
+    outs = {}
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        code, outs[columns], _ = run(capsys, "sum", "--help")
+        assert code == 0
+    assert max(map(len, outs["40"].splitlines())) < max(map(len, outs["200"].splitlines()))
+    assert len(outs["40"].splitlines()) > len(outs["200"].splitlines())

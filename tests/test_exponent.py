@@ -1,10 +1,16 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from deltasum.errors import InfeasiblePoint, OutOfRange, ShapeMismatch
+from deltasum.cli import main
+from deltasum.errors import Infeasible, InfeasiblePoint, OutOfRange, ShapeMismatch, Unbounded
 from deltasum.exponent import (
     BoundProblem,
+    OptimizationResult,
+    _integer_rows,
+    _solve_square,
+    constraint,
     evaluate_bound,
     form,
     minimize_max,
@@ -13,6 +19,12 @@ from deltasum.exponent import (
     staged_elimination,
 )
 from deltasum.scan import Lcg
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # a test extra: without it only the drawn-problem oracles skip
+    st = None
 
 OPT_POINT = (Fraction(20, 77), Fraction(9, 77), Fraction(1, 154))
 OPT_VALUE = Fraction(115, 154)
@@ -171,3 +183,174 @@ def test_parse_problem_file_errors():
         parse_problem_file("st: 1*xP = 2")
     with pytest.raises(OutOfRange):
         parse_problem_file("")
+
+
+# The Fraction route that integer vertex enumeration replaced, kept as its oracle.
+
+def fraction_solve_square(rows):
+    """Solve a square exact linear system given as [A | b] rows, or None."""
+    n = len(rows)
+    m = [[Fraction(v) for v in row] for row in rows]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return None
+        m[col], m[pivot] = m[pivot], m[col]
+        inv = Fraction(1) / m[col][col]
+        m[col] = [v * inv for v in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                factor = m[r][col]
+                m[r] = [v - factor * w for v, w in zip(m[r], m[col])]
+    return [m[r][n] for r in range(n)]
+
+
+def fraction_check_feasibility(prob):
+    cons = prob.constraints
+    for combo in itertools.combinations(range(len(cons)), 3):
+        rows = [[cons[i].a, cons[i].b, cons[i].c, cons[i].bound] for i in combo]
+        point = fraction_solve_square(rows)
+        if point is not None and prob.feasible(tuple(point)):
+            return tuple(point)
+    origin = (Fraction(0), Fraction(0), Fraction(0))
+    if prob.feasible(origin):
+        return origin
+    raise Infeasible("no feasible point found for the constraint system")
+
+
+def fraction_minimize_max(prob):
+    rows = []
+    for f in prob.forms:
+        cP, cL, cT = f.coeffs()
+        rows.append((cP, cL, cT, Fraction(-1), -f.constant))
+    for con in prob.constraints:
+        rows.append((con.a, con.b, con.c, Fraction(0), con.bound))
+    if not any(r[3] != 0 for r in rows):
+        raise Unbounded("no objective rows")
+
+    def feasible_vertex(values):
+        return all(a * values[0] + b * values[1] + c * values[2] + d * values[3] <= bound
+                   for (a, b, c, d, bound) in rows)
+
+    best = None
+    for combo in itertools.combinations(range(len(rows)), 4):
+        system = [[rows[i][0], rows[i][1], rows[i][2], rows[i][3], rows[i][4]] for i in combo]
+        sol = fraction_solve_square(system)
+        if sol is None:
+            continue
+        if not feasible_vertex(sol):
+            continue
+        if best is None or sol[3] < best[3]:
+            best = sol
+    if best is None:
+        fraction_check_feasibility(prob)
+        raise Unbounded("the epigraph has no feasible vertex")
+    point = (best[0], best[1], best[2])
+    value = best[3]
+    active = tuple(i for i, f in enumerate(prob.forms) if f(point) == value)
+    return OptimizationResult(point, value, active)
+
+
+def integer_solution(system):
+    """_solve_square on the integer-scaled rows, as Fractions (None if singular)."""
+    sol = _solve_square(_integer_rows(system))
+    return None if sol is None else [Fraction(v, sol[1]) for v in sol[0]]
+
+
+def epigraph_rows(prob):
+    return ([(*f.coeffs(), -1, -f.constant) for f in prob.forms]
+            + [(con.a, con.b, con.c, 0, con.bound) for con in prob.constraints])
+
+
+def outcome(solve, prob):
+    """The solver's result, or the class of the Infeasible/Unbounded it raised."""
+    try:
+        return solve(prob)
+    except (Infeasible, Unbounded) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("growth, combos", [(True, 495), (False, 330)])
+def test_integer_solves_equal_fraction_solves_on_every_paper_combination(growth, combos):
+    prob = paper_bound_problem(include_growth_constraint=growth)
+    systems = list(itertools.combinations(epigraph_rows(prob), 4))
+    systems += itertools.combinations([(c.a, c.b, c.c, c.bound) for c in prob.constraints], 3)
+    assert len(systems) == combos + (20 if growth else 10)
+    expected = [fraction_solve_square(system) for system in systems]
+    assert [integer_solution(system) for system in systems] == expected
+    assert 0 < expected.count(None) < len(systems)  # both singular and regular systems
+
+
+def _bumped(i):
+    base = paper_bound_problem()
+    bumped = list(base.forms)
+    f = bumped[i]
+    bumped[i] = form(f.constant + Fraction(1, 1000), f.coeff_xP, f.coeff_xL, f.coeff_theta)
+    return BoundProblem(tuple(bumped), base.constraints)
+
+
+# max(forms) = 0 on the whole unit box: all eight corners tie, and the first one wins
+FLAT_BOX = BoundProblem((form(0),), tuple(constraint(*row) for row in (
+    (1, 0, 0, 1), (-1, 0, 0, 0), (0, 1, 0, 1), (0, -1, 0, 0), (0, 0, 1, 1), (0, 0, -1, 0))))
+
+ORACLE_PROBLEMS = ([paper_bound_problem(), paper_bound_problem(include_growth_constraint=False),
+                    parse_problem_file(PROBLEM_TEXT), FLAT_BOX]
+                   + [_bumped(i) for i in range(6)])
+
+
+@pytest.mark.parametrize("prob", ORACLE_PROBLEMS)
+def test_integer_lp_equals_fraction_oracle(prob):
+    assert minimize_max(prob) == fraction_minimize_max(prob)
+    assert prob.check_feasibility() == fraction_check_feasibility(prob)
+
+
+def test_infeasible_and_unbounded_match_the_oracle():
+    paper = paper_bound_problem()
+    infeasible = BoundProblem(paper.forms, (constraint(1, 0, 0, -1), constraint(-1, 0, 0, -1)))
+    unbounded = BoundProblem((form(0, 1), form(0, 2), form(1, 1)), ())
+    for prob, raised in ((infeasible, Infeasible), (unbounded, Unbounded)):
+        assert outcome(minimize_max, prob) is outcome(fraction_minimize_max, prob) is raised
+
+
+if st is not None:
+    small_rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+    quadruples = st.tuples(small_rationals, small_rationals, small_rationals, small_rationals)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.lists(small_rationals, min_size=n + 1, max_size=n + 1), min_size=n, max_size=n)))
+    def test_integer_solve_matches_fraction_solve_on_drawn_systems(system):
+        assert integer_solution(system) == fraction_solve_square(system)
+
+    @settings(max_examples=20, deadline=None)  # the Fraction oracle takes most of the time
+    @given(st.lists(quadruples, min_size=3, max_size=8), st.lists(quadruples, max_size=6))
+    def test_integer_lp_matches_fraction_oracle_on_drawn_problems(forms, cons):
+        prob = BoundProblem(tuple(form(*f) for f in forms),
+                            tuple(constraint(*c) for c in cons))
+        assert outcome(minimize_max, prob) == outcome(fraction_minimize_max, prob)
+        assert (outcome(BoundProblem.check_feasibility, prob)
+                == outcome(fraction_check_feasibility, prob))
+
+
+EXACT_LINES = "theta = 1/154\nexponent = 115/154\nxP = 20/77\nxL = 9/77\n"
+FLOAT_LINES = ("theta = 0.006493506493506494\nexponent = 0.7467532467532467\n"
+               "xP = 0.2597402597402597\nxL = 0.11688311688311688\n")
+EXACT_JSON = ('{"theta": "1/154", "exponent": "115/154", "xP": "20/77", "xL": "9/77", '
+              '"active_terms": [1, 2, 4, 5]')
+FLOAT_JSON = ', "theta_float": 0.006493506493506494, "exponent_float": 0.7467532467532467}\n'
+OPTIMIZE_PAPER_STDOUT = {
+    ("--exact",): EXACT_LINES,
+    ("--staged", "--exact"): EXACT_LINES,
+    ("--exact", "--json"): EXACT_JSON + "}\n",
+    ("--staged", "--exact", "--json"): EXACT_JSON + "}\n",
+    (): FLOAT_LINES,
+    ("--staged",): FLOAT_LINES,
+    ("--json",): EXACT_JSON + FLOAT_JSON,
+    ("--staged", "--json"): EXACT_JSON + FLOAT_JSON,
+}
+
+
+@pytest.mark.parametrize("flags", sorted(OPTIMIZE_PAPER_STDOUT))
+def test_optimize_paper_stdout_pinned(capsys, flags):
+    assert main(["optimize", "--paper", "--no-cache", *flags]) == 0
+    assert capsys.readouterr().out == OPTIMIZE_PAPER_STDOUT[flags]

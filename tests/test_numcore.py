@@ -11,7 +11,6 @@ from deltasum.numcore import (
     factorize,
     is_prime,
     mod_inv,
-    p_star,
     primes_between,
 )
 from deltasum.scan import Lcg
@@ -56,7 +55,7 @@ def test_factorize_examples():
 def test_factorize_recompose_and_primality():
     for n in range(1, 3000):
         fac = factorize(n)
-        assert fac.recompose() == n
+        assert math.prod(p**e for p, e in fac.factors) == n
         for p, e in fac.factors:
             assert is_prime(p)
             assert e >= 1
@@ -130,12 +129,8 @@ def test_angle_to_complex():
     assert RationalAngle(0, 7).to_complex() == 1.0 + 0.0j
 
 
-def test_p_star():
-    assert p_star(2) == 2
-    assert p_star(1) == 0
-    assert p_star(5) == 6
-    # open interval on both ends
+def test_primes_between_is_open_on_both_ends():
     assert primes_between(5, 10) == [7]
-    assert p_star(10) == sum(p - 1 for p in (11, 13, 17, 19))
-    with pytest.raises(OutOfRange):
-        p_star(0)
+    assert primes_between(10, 20) == [11, 13, 17, 19]
+    assert primes_between(1, 3) == [2]
+    assert primes_between(2, 3) == []

@@ -290,11 +290,8 @@ def test_transition_cutoff_examples():
     assert transition_cutoff(N, L, 2 * P, M, m=1, eps=0.01) < c0
     assert math.isclose(transition_cutoff(N, 2 * L, P, M, m=1, eps=0.01), 2 * c0)
     assert math.isclose(transition_cutoff(N, L, P, M, m=2, eps=0.01), c0 / 2)
-    theta = 1.0 / 154.0
-    lower, upper = transition_cutoff(N, L, P, M, eps=0.01, mode="voronoi-r", theta=theta)
-    assert math.isclose(upper / lower, M ** (4 * theta + 2 * 0.01))
     with pytest.raises(OutOfRange):
-        transition_cutoff(N, L, P, M, mode="nope")
+        transition_cutoff(N, L, P, M, m=0)
 
 
 def test_decay_scan_higher_weight_decays_more():
