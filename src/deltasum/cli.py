@@ -3,10 +3,11 @@
 Exit codes: 0 success (or suite passed), 1 suite failure, 2 usage or
 domain error, 3 computational error (budget, overflow, non-convergence).
 Machine output goes to stdout, diagnostics to stderr.  Identical argv,
-config and seed produce byte-identical stdout; results are cached under a
-content hash of (subcommand, normalized flags, package version and a digest
-of the package's sources) unless --no-cache is given, so a code change
-never serves an older result.
+config and seed produce byte-identical stdout.  The results of sum,
+optimize, bessel and integral are cached under a content hash of
+(subcommand, normalized flags, package version and a digest of the
+package's sources) unless --no-cache is given, so a code change never
+serves an older result; verify is never cached and has no --no-cache.
 
 Config file: plain ``key = value`` lines for cache_dir and
 default_tolerance_scale.  CLI flags override file values, and the
@@ -15,8 +16,10 @@ The default tolerance scale reaches only the suites that take one.
 
 `verify` passes --seed, --trials and --tolerance-scale to its suite, and a
 suite that does not take one of them rejects it with exit 2.  Likewise
-`sum --budget` is a usage error for the kinds that have no summation
-budget (gauss, ramanujan, dsum, c3).
+each `sum` kind is one function in SUMS whose parameters are exactly the
+flags it reads, under their argparse dest names: the `sum` flags are the
+union of those signatures, any flag the kind does not take exits 2, and
+so does a missing flag whose parameter has no default.
 
 The argparse tree is built once per process, on the first `main()` call,
 and reused by later calls: `parse_args` makes a fresh namespace each time
@@ -41,6 +44,7 @@ from .errors import ComputationError, DomainError, InvalidValue
 from .exponent import minimize_max, paper_bound_problem, parse_problem_file, staged_elimination
 from .expsums import (
     DEFAULT_BUDGET,
+    ExpSumValue,
     c3_closed,
     c4_correlation,
     d_sum,
@@ -53,8 +57,36 @@ from .scan import append_ledger
 from .suites import SUITES, run_suite
 
 DEFAULT_CACHE_DIR = os.path.join(os.path.expanduser("~"), ".cache", "deltasum")
-SUM_KINDS = ("kloosterman", "twisted", "gauss", "ramanujan", "dsum", "c3", "c4")
-BUDGET_KINDS = ("kloosterman", "twisted", "c4")  # the sums that --budget bounds
+
+
+def _twisted(m, n, c, p, psi_index, budget=DEFAULT_BUDGET):
+    return twisted_kloosterman(DirichletCharacter.from_index(p, psi_index), m, n, c, budget)
+
+
+def _gauss(modulus, chi_index):
+    g = gauss_sum(DirichletCharacter.from_index(modulus, chi_index))
+    return ExpSumValue(g, modulus - 1, 4e-15 * modulus)
+
+
+def _dsum(u, modulus, chi_index):
+    return d_sum(u, modulus, DirichletCharacter.from_index(modulus, chi_index))
+
+
+def _c3(v, modulus, chi_index):
+    return c3_closed(v, modulus, DirichletCharacter.from_index(modulus, chi_index))
+
+
+# The kinds of `sum`.  A parameter is the flag --name (underscores as dashes),
+# required unless it has a default.
+SUMS = {"kloosterman": kloosterman, "twisted": _twisted, "gauss": _gauss,
+        "ramanujan": ramanujan_sum, "dsum": _dsum, "c3": _c3, "c4": c4_correlation}
+_SUM_PARAMS = {kind: inspect.signature(fn).parameters for kind, fn in SUMS.items()}
+_SUM_READERS = {name: [kind for kind, params in _SUM_PARAMS.items() if name in params]
+                for params in _SUM_PARAMS.values() for name in params}
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
 
 
 @dataclasses.dataclass
@@ -107,23 +139,20 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"deltasum {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, csv=False):
-        p.add_argument("--json", action="store_true", help="emit a single JSON document")
+    def add_common(p, csv=False, cached=True):
+        output = p.add_mutually_exclusive_group()
+        output.add_argument("--json", action="store_true", help="emit a single JSON document")
         if csv:  # only sum and verify have a CSV rendering; elsewhere --csv is a usage error
-            p.add_argument("--csv", action="store_true", help="emit one CSV row per case")
-        p.add_argument("--no-cache", action="store_true", help="bypass the result cache")
+            output.add_argument("--csv", action="store_true", help="emit one CSV row per case")
+        if cached:  # verify never uses the cache, so --no-cache is a usage error there
+            p.add_argument("--no-cache", action="store_true", help="bypass the result cache")
         p.add_argument("--cache-dir", help="cache directory (env DELTASUM_CACHE overrides config)")
         p.add_argument("--config", help="config file with 'key = value' lines")
 
     p_sum = sub.add_parser("sum", help="compute one exponential/character sum")
-    p_sum.add_argument("kind", choices=SUM_KINDS)
-    for flag in ("--m", "--n", "--c", "--q", "--u", "--v", "--p", "--h",
-                 "--modulus", "--chi-index", "--psi-index", "--c2", "--q2-tilde",
-                 "--p-prime", "--q1", "--m-dprime", "--M", "--r-prime",
-                 "--ell", "--ell-prime"):
-        p_sum.add_argument(flag, type=int)
-    p_sum.add_argument("--budget", type=int, default=None,
-                       help="summation budget of kloosterman, twisted and c4")
+    p_sum.add_argument("kind", choices=tuple(SUMS))
+    for name, kinds in _SUM_READERS.items():
+        p_sum.add_argument(_flag(name), type=int, help="read by " + ", ".join(kinds))
     add_common(p_sum, csv=True)
 
     p_verify = sub.add_parser("verify", help="run one verification suite")
@@ -133,7 +162,7 @@ def build_parser():
     p_verify.add_argument("--trials", type=int, default=None,
                           help="trial count of the reciprocity suite")
     p_verify.add_argument("--tolerance-scale", type=float, default=None)
-    add_common(p_verify, csv=True)
+    add_common(p_verify, csv=True, cached=False)
 
     p_opt = sub.add_parser("optimize", help="minimize the max bound exponent")
     group = p_opt.add_mutually_exclusive_group(required=True)
@@ -167,66 +196,31 @@ def build_parser():
     return parser
 
 
-def _sum_payload(value):
-    return {"re": value.value.real, "im": value.value.imag,
-            "terms": value.terms, "est_error": value.est_error}
-
-
-def _render_sum(payload, args):
+def _render_sum(value, args):
+    if isinstance(value, int):  # ramanujan: an exact integer
+        return json.dumps({"value": value}) if args.json else str(value)
+    payload = {"re": value.value.real, "im": value.value.imag,
+               "terms": value.terms, "est_error": value.est_error}
     if args.json:
         return json.dumps(payload)
     if args.csv:
-        return ",".join(repr(payload[k]) for k in ("re", "im", "terms", "est_error"))
+        return ",".join(repr(field) for field in payload.values())
     return (f"value = {payload['re']!r} + {payload['im']!r}i  "
             f"(terms={payload['terms']}, est_error={payload['est_error']!r})")
 
 
-def _require(args, names):
-    missing = [name for name in names if getattr(args, name.replace("-", "_")) is None]
-    if missing:
-        raise DomainError(f"missing required flags: {', '.join('--' + m for m in missing)}")
-
-
 def run_sum(args, config):
-    kind = args.kind
-    if args.budget is not None and kind not in BUDGET_KINDS:
-        raise InvalidValue(f"sum {kind} does not take --budget")
-    budget = DEFAULT_BUDGET if args.budget is None else args.budget
-    if kind == "kloosterman":
-        _require(args, ["m", "n", "c"])
-        out = _sum_payload(kloosterman(args.m, args.n, args.c, budget))
-    elif kind == "twisted":
-        _require(args, ["m", "n", "c", "p", "psi-index"])
-        psi = DirichletCharacter.from_index(args.p, args.psi_index)
-        out = _sum_payload(twisted_kloosterman(psi, args.m, args.n, args.c, budget))
-    elif kind == "gauss":
-        _require(args, ["modulus", "chi-index"])
-        chi = DirichletCharacter.from_index(args.modulus, args.chi_index)
-        g = gauss_sum(chi)
-        out = {"re": g.real, "im": g.imag, "terms": args.modulus - 1,
-               "est_error": 4e-15 * args.modulus}
-    elif kind == "ramanujan":
-        _require(args, ["q", "n"])
-        out = {"value": ramanujan_sum(args.q, args.n)}
-    elif kind == "dsum":
-        _require(args, ["u", "modulus", "chi-index"])
-        chi = DirichletCharacter.from_index(args.modulus, args.chi_index)
-        out = _sum_payload(d_sum(args.u, args.modulus, chi))
-    elif kind == "c3":
-        _require(args, ["v", "modulus", "chi-index"])
-        chi = DirichletCharacter.from_index(args.modulus, args.chi_index)
-        out = _sum_payload(c3_closed(args.v, args.modulus, chi))
-    else:  # c4
-        _require(args, ["c2", "q2-tilde", "p", "p-prime", "q1", "m-dprime",
-                        "M", "h", "n", "r-prime", "ell", "ell-prime"])
-        out = _sum_payload(c4_correlation(
-            args.c2, args.q2_tilde, args.p, args.p_prime, args.q1, args.m_dprime,
-            args.M, args.h, args.n, args.r_prime, args.ell, args.ell_prime, budget))
-    if "value" in out and args.json:
-        return json.dumps(out), 0
-    if "value" in out:
-        return (",".join([str(out["value"])]) if args.csv else str(out["value"])), 0
-    return _render_sum(out, args), 0
+    params = _SUM_PARAMS[args.kind]
+    given = {name: getattr(args, name) for name in _SUM_READERS
+             if getattr(args, name) is not None}
+    extra = [_flag(name) for name in given if name not in params]
+    if extra:
+        raise InvalidValue(f"sum {args.kind} does not take {', '.join(extra)}")
+    missing = [_flag(name) for name, param in params.items()
+               if param.default is param.empty and name not in given]
+    if missing:
+        raise DomainError(f"missing required flags: {', '.join(missing)}")
+    return _render_sum(SUMS[args.kind](**given), args), 0
 
 
 def run_verify(args, config):
@@ -287,6 +281,8 @@ def run_integral(args, config):
     params = dataclasses.replace(TOY_PARAMS, **{
         field.name: getattr(args, field.name) for field in dataclasses.fields(TOY_PARAMS)
         if getattr(args, field.name) is not None})
+    if args.window == "bump" and args.theta is not None:
+        raise InvalidValue("integral --window bump does not take --theta")
     theta = TOY_THETA if args.theta is None else args.theta
     window = WindowFunction(args.window, theta if args.window == "plateau" else 0.0)
     value, err = integral_value_and_error(params, window, args.tol)
@@ -353,16 +349,16 @@ def main(argv=None):
         return code if isinstance(code, int) else 2
     try:
         config = resolve_config(args)
-        use_cache = not args.no_cache
+        use_cache = args.command != "verify" and not args.no_cache
         key = _cache_key(args) if use_cache else None
-        if use_cache and args.command != "verify":
+        if use_cache:
             hit = _cache_read(key, config)
             if hit is not None:
                 sys.stdout.write(hit["stdout"])
                 return int(hit["exit_code"])
         text, code = RUNNERS[args.command](args, config)
         out = text + "\n"
-        if use_cache and args.command != "verify":
+        if use_cache:
             _cache_write(key, {"stdout": out, "exit_code": code}, config)
         sys.stdout.write(out)
         return code

@@ -6,8 +6,7 @@ worst exponent is a four-variable linear program over exact rationals.
 Two independent solvers are provided and compared: vertex enumeration of
 the epigraph polytope, and the staged pairwise elimination that equates
 terms in a fixed order.  Strict inequalities among the constraints are
-optimized over their closure; the returned optimum is checked against the
-strict versions afterwards.
+optimized over their closure.
 
 Vertex enumeration stays in integers: each row is scaled by the lcm of its
 denominators, each square system is solved by fraction-free (Bareiss)
@@ -55,10 +54,9 @@ class Constraint:
     c: Fraction
     bound: Fraction
 
-    def satisfied(self, point, strict=False):
+    def satisfied(self, point):
         xP, xL, th = point
-        lhs = self.a * xP + self.b * xL + self.c * th
-        return lhs < self.bound if strict else lhs <= self.bound
+        return self.a * xP + self.b * xL + self.c * th <= self.bound
 
 
 def form(constant, cP=0, cL=0, cT=0):
@@ -74,8 +72,8 @@ class BoundProblem:
     forms: tuple
     constraints: tuple
 
-    def feasible(self, point, strict=False):
-        return all(con.satisfied(point, strict) for con in self.constraints)
+    def feasible(self, point):
+        return all(con.satisfied(point) for con in self.constraints)
 
     def check_feasibility(self):
         """Find some feasible point by constraint-vertex probing."""

@@ -96,15 +96,6 @@ def divisor_count(n):
     return arithmetic_functions(n)[2]
 
 
-def divisors(n):
-    """All positive divisors of n, ascending."""
-    fac = factorize(n)
-    out = [1]
-    for p, e in fac.factors:
-        out = [d * p**k for d in out for k in range(e + 1)]
-    return sorted(out)
-
-
 def is_prime(n):
     """Deterministic trial-division primality test (n <= 2**40)."""
     if n < 2:

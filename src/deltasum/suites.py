@@ -545,7 +545,7 @@ def suite_exponent():
         staged.point == lp.point and staged.value == lp.value,
         free.point == lp.point and free.value == lp.value,
         growth_ok,
-        paper_bound_problem().feasible(lp.point, strict=False),
+        paper_bound_problem().feasible(lp.point),
     ]
     sweep.add(None, 0.0 if all(checks) else 1.0, count=len(checks))
     notes = {

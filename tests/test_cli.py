@@ -120,6 +120,99 @@ def test_budget_rejected_by_sums_without_one(capsys, argv):
     assert run(capsys, "sum", *argv)[0] == 0
 
 
+# One valid argv per sum kind, and its stdout plain, with --json and with
+# --csv, as printed before the kinds were dispatched through one table.
+SUM_ARGS = {
+    "kloosterman": ("--m", "2", "--n", "3", "--c", "101"),
+    "twisted": ("--m", "1", "--n", "1", "--c", "15", "--p", "5", "--psi-index", "1"),
+    "gauss": ("--modulus", "13", "--chi-index", "5"),
+    "ramanujan": ("--q", "12", "--n", "4"),
+    "dsum": ("--u", "3", "--modulus", "11", "--chi-index", "2"),
+    "c3": ("--v", "2", "--modulus", "11", "--chi-index", "3"),
+    "c4": C4_ARGS[1:],
+}
+SUM_STDOUT = {
+    "kloosterman": (
+        "value = 6.246297715240741 + 1.6167622796103842e-15i  (terms=100, est_error=2e-13)\n",
+        '{"re": 6.246297715240741, "im": 1.6167622796103842e-15, "terms": 100, '
+        '"est_error": 2e-13}\n',
+        "6.246297715240741,1.6167622796103842e-15,100,2e-13\n"),
+    "twisted": (
+        "value = 1.1102230246251565e-16 + 1.9021130325903066i  (terms=8, est_error=3.2e-14)\n",
+        '{"re": 1.1102230246251565e-16, "im": 1.9021130325903066, "terms": 8, '
+        '"est_error": 3.2e-14}\n',
+        "1.1102230246251565e-16,1.9021130325903066,8,3.2e-14\n"),
+    "gauss": (
+        "value = 3.6028636315959908 + -0.13918926726922073i  (terms=12, "
+        "est_error=5.2000000000000006e-14)\n",
+        '{"re": 3.6028636315959908, "im": -0.13918926726922073, "terms": 12, '
+        '"est_error": 5.2000000000000006e-14}\n',
+        "3.6028636315959908,-0.13918926726922073,12,5.2000000000000006e-14\n"),
+    "ramanujan": (
+        "-2\n",
+        '{"value": -2}\n',
+        "-2\n"),
+    "dsum": (
+        "value = -1.403729412986023 + 1.6199901007675586i  (terms=9, "
+        "est_error=3.6000000000000004e-14)\n",
+        '{"re": -1.403729412986023, "im": 1.6199901007675586, "terms": 9, '
+        '"est_error": 3.6000000000000004e-14}\n',
+        "-1.403729412986023,1.6199901007675586,9,3.6000000000000004e-14\n"),
+    "c3": (
+        "value = -7.600813061875578 + -10.46162167924669i  (terms=99, "
+        "est_error=3.9600000000000003e-13)\n",
+        '{"re": -7.600813061875578, "im": -10.46162167924669, "terms": 99, '
+        '"est_error": 3.9600000000000003e-13}\n',
+        "-7.600813061875578,-10.46162167924669,99,3.9600000000000003e-13\n"),
+    "c4": (
+        "value = -65.46642919516698 + 82.09230565914324i  (terms=10080, est_error=8.064e-11)\n",
+        '{"re": -65.46642919516698, "im": 82.09230565914324, "terms": 10080, '
+        '"est_error": 8.064e-11}\n',
+        "-65.46642919516698,82.09230565914324,10080,8.064e-11\n"),
+}
+# Every flag of `sum`, and the ones each kind reads.
+SUM_FLAGS = ("--m", "--n", "--c", "--q", "--u", "--v", "--p", "--h", "--modulus",
+             "--chi-index", "--psi-index", "--c2", "--q2-tilde", "--p-prime", "--q1",
+             "--m-dprime", "--M", "--r-prime", "--ell", "--ell-prime", "--budget")
+BUDGETED = ("kloosterman", "twisted", "c4")
+
+
+def _read_flags(kind):
+    return set(SUM_ARGS[kind][::2]) | ({"--budget"} if kind in BUDGETED else set())
+
+
+@pytest.mark.parametrize("kind", SUM_STDOUT)
+def test_sum_stdout_pinned(capsys, kind):
+    for fmt, pinned in zip(((), ("--json",), ("--csv",)), SUM_STDOUT[kind]):
+        code, out, err = run(capsys, "sum", kind, *SUM_ARGS[kind], *fmt, "--no-cache")
+        assert code == 0, err
+        assert out == pinned, fmt
+
+
+@pytest.mark.parametrize("kind", SUM_ARGS)
+def test_sum_rejects_every_flag_its_kind_does_not_read(capsys, kind):
+    unread = [flag for flag in SUM_FLAGS if flag not in _read_flags(kind)]
+    assert unread
+    for flag in unread:
+        code, out, err = run(capsys, "sum", kind, *SUM_ARGS[kind], flag, "5")
+        assert code == 2, flag
+        assert out == "" and err == f"error: sum {kind} does not take {flag}\n"
+    code, _, err = run(capsys, "sum", kind, *SUM_ARGS[kind], unread[-1], "5", unread[0], "5")
+    prefix = f"error: sum {kind} does not take "
+    assert code == 2 and err.startswith(prefix)
+    assert set(err[len(prefix):].rstrip("\n").split(", ")) == {unread[0], unread[-1]}
+    assert not os.path.exists(os.environ["DELTASUM_CACHE"])  # nothing was cached
+
+
+@pytest.mark.parametrize("kind", SUM_ARGS)
+def test_sum_requires_every_flag_its_kind_reads(capsys, kind):
+    argv = SUM_ARGS[kind]
+    for i in range(0, len(argv), 2):
+        code, out, err = run(capsys, "sum", kind, *argv[:i], *argv[i + 2:])
+        assert code == 2, argv[i]
+        assert out == "" and err == f"error: missing required flags: {argv[i]}\n"
+
+
 def test_domain_error_exits_2(capsys):
     code, _, _ = run(capsys, "sum", "gauss", "--modulus", "8", "--chi-index", "1")
     assert code == 2
@@ -167,6 +260,29 @@ def test_csv_rejected_where_unsupported(capsys, argv):
     assert code == 2
     assert out == "" and "--csv" in err
     assert not os.path.exists(os.environ["DELTASUM_CACHE"])
+
+
+@pytest.mark.parametrize("argv", [("sum", "ramanujan", "--q", "6", "--n", "1"),
+                                  ("verify", "exponent", "--grid-preset", "smoke")])
+def test_json_and_csv_together_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--json", "--csv")
+    assert code == 2
+    assert out == "" and "--csv" in err and "--json" in err
+
+
+def test_verify_has_no_no_cache_flag(capsys):
+    code, out, err = run(capsys, "verify", "exponent", "--no-cache")
+    assert code == 2
+    assert out == "" and "--no-cache" in err
+
+
+def test_bump_window_rejects_theta(capsys):
+    code, out, err = run(capsys, "integral", "--window", "bump", "--c", "8", "--theta", "0.1")
+    assert code == 2
+    assert out == "" and err == "error: integral --window bump does not take --theta\n"
+    assert not os.path.exists(os.environ["DELTASUM_CACHE"])
+    assert run(capsys, "integral", "--window", "bump", "--c", "8")[0] == 0
+    assert run(capsys, "integral", "--window", "plateau", "--c", "8", "--theta", "0.1")[0] == 0
 
 
 def test_optimize_paper_exact(capsys):

@@ -7,7 +7,6 @@ from deltasum.numcore import (
     RationalAngle,
     angle_add,
     arithmetic_functions,
-    divisors,
     factorize,
     is_prime,
     mod_inv,
@@ -89,12 +88,6 @@ def test_arithmetic_functions_examples_and_oracle():
     phi, mu, d = _sieve_tables(10**4)
     for n in range(1, 10**4 + 1):
         assert arithmetic_functions(n) == (phi[n], mu[n], d[n])
-
-
-def test_divisors():
-    assert divisors(1) == [1]
-    assert divisors(12) == [1, 2, 3, 4, 6, 12]
-    assert divisors(49) == [1, 7, 49]
 
 
 def test_angle_examples():
