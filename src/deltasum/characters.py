@@ -1,13 +1,16 @@
 """Dirichlet characters modulo an odd prime, with Gauss sums.
 
-A character chi mod q is stored as (q, g, index) where g is the least
-primitive root mod q and chi(g**k) = e(index * k / (q-1)).  Index 0 is the
+A character chi mod q is stored as (q, index): with g the least primitive
+root mod q, chi(g**k) = e(index * k / (q-1)).  Index 0 is the
 principal character; mod a prime every non-principal character is
-primitive.  Evaluation goes through a per-modulus discrete-log table and
-root-of-unity tables, each kept in a bounded least-recently-used memo
-(256 tables) and shared read-only, so characters are cheap value objects
-safe for concurrent use.  Two threads racing on a missing table may each
-build it; both builds are equal, and one of them is kept.
+primitive.  Evaluation goes through a per-modulus discrete-log table;
+chi.eval(n) then takes the root from the reduced fraction (RationalAngle),
+while value_array() gathers it from the unit_roots(q - 1) table, which does
+not reduce j/(q-1), so the two may differ in the last bits.  Both tables
+are kept in a bounded least-recently-used memo (256 tables) and shared
+read-only, so characters are cheap value objects safe for concurrent use.
+Two threads racing on a missing table may each build it; both builds are
+equal, and one of them is kept.
 """
 
 from __future__ import annotations
@@ -66,13 +69,12 @@ class DirichletCharacter:
     """Character mod an odd prime q, indexed against the least primitive root."""
 
     modulus: int
-    generator: int
     index: int
 
     @classmethod
     def from_index(cls, q, index):
         _check_odd_prime(q)
-        return cls(q, primitive_root(q), index % (q - 1))
+        return cls(q, index % (q - 1))
 
     @classmethod
     def principal(cls, q):
@@ -87,7 +89,7 @@ class DirichletCharacter:
         return self.index == 0
 
     def conjugate(self):
-        return DirichletCharacter(self.modulus, self.generator, (-self.index) % (self.modulus - 1))
+        return DirichletCharacter(self.modulus, (-self.index) % (self.modulus - 1))
 
     def eval(self, n):
         """chi(n): 0 on multiples of q, else the exact root of unity."""
@@ -115,8 +117,7 @@ class DirichletCharacter:
 def enumerate_characters(q):
     """All q-1 characters mod the odd prime q, by ascending index."""
     _check_odd_prime(q)
-    g = primitive_root(q)
-    return [DirichletCharacter(q, g, a) for a in range(q - 1)]
+    return [DirichletCharacter(q, a) for a in range(q - 1)]
 
 
 def gauss_sum(chi):

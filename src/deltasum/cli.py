@@ -95,28 +95,39 @@ class CliConfig:
     default_tolerance_scale: float = 1.0
 
 
+def _read_text(path):
+    """The text of an input file (--config, --problem); a file that cannot be
+    read or is not UTF-8 is a DomainError naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise DomainError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def load_config(path):
     config = CliConfig()
     if path is None:
         return config
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DomainError(f"{path}:{line_no}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key == "cache_dir":
-                config.cache_dir = value
-            elif key == "default_tolerance_scale":
-                try:
-                    config.default_tolerance_scale = float(value)
-                except ValueError:
-                    raise DomainError(f"{path}:{line_no}: default_tolerance_scale "
-                                      f"must be a number, got {value!r}") from None
-            else:
-                raise DomainError(f"{path}:{line_no}: unknown config key {key!r}")
+    for line_no, raw in enumerate(_read_text(path).splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise DomainError(f"{path}:{line_no}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key == "cache_dir":
+            config.cache_dir = value
+        elif key == "default_tolerance_scale":
+            try:
+                config.default_tolerance_scale = float(value)
+            except ValueError:
+                raise DomainError(f"{path}:{line_no}: default_tolerance_scale "
+                                  f"must be a number, got {value!r}") from None
+        else:
+            raise DomainError(f"{path}:{line_no}: unknown config key {key!r}")
     return config
 
 
@@ -181,14 +192,8 @@ def build_parser():
 
     p_int = sub.add_parser("integral", help="evaluate the oscillatory window integral")
     p_int.add_argument("--preset", choices=("toy",), default="toy")
-    p_int.add_argument("--N", type=float)
-    p_int.add_argument("--n", type=int)
-    p_int.add_argument("--p", type=int)
-    p_int.add_argument("--ell", type=int)
-    p_int.add_argument("--c", type=float)
-    p_int.add_argument("--M", type=int)
-    p_int.add_argument("--m", type=int)
-    p_int.add_argument("--k", type=int)
+    for field in dataclasses.fields(TOY_PARAMS):  # each flag overrides one field of the preset
+        p_int.add_argument("--" + field.name, type=type(getattr(TOY_PARAMS, field.name)))
     p_int.add_argument("--theta", type=float)
     p_int.add_argument("--window", choices=("plateau", "bump"), default="plateau")
     p_int.add_argument("--tol", type=float, default=1e-12)
@@ -250,8 +255,7 @@ def run_optimize(args, config):
     if args.paper:
         problem = paper_bound_problem()
     else:
-        with open(args.problem, encoding="utf-8") as fh:
-            problem = parse_problem_file(fh.read())
+        problem = parse_problem_file(_read_text(args.problem))
     result = staged_elimination(problem) if args.staged else minimize_max(problem)
     xP, xL, theta = result.point
     if args.json:
@@ -349,7 +353,7 @@ def main(argv=None):
         return code if isinstance(code, int) else 2
     try:
         config = resolve_config(args)
-        use_cache = args.command != "verify" and not args.no_cache
+        use_cache = hasattr(args, "no_cache") and not args.no_cache
         key = _cache_key(args) if use_cache else None
         if use_cache:
             hit = _cache_read(key, config)
@@ -363,9 +367,6 @@ def main(argv=None):
         sys.stdout.write(out)
         return code
     except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ComputationError as exc:

@@ -12,7 +12,11 @@ Vertex enumeration stays in integers: each row is scaled by the lcm of its
 denominators, each square system is solved by fraction-free (Bareiss)
 elimination over its determinant, and feasibility and the objective are
 compared as integer numerators over that determinant.  Only the optimum
-is converted to `Fraction`.
+is converted to `Fraction`.  A variable whose column depends on the
+earlier ones can be moved to 0 without changing any form or constraint,
+so it is pinned at 0 first, and feasible constraints always have a
+vertex.  A feasible epigraph without one, or with a ray along which the
+maximum keeps decreasing, is reported as Unbounded.
 """
 
 from __future__ import annotations
@@ -76,16 +80,15 @@ class BoundProblem:
         return all(con.satisfied(point) for con in self.constraints)
 
     def check_feasibility(self):
-        """Find some feasible point by constraint-vertex probing."""
+        """The first feasible vertex of the constraints and their _pins;
+        Infeasible if there is none."""
         rows = _integer_rows((con.a, con.b, con.c, con.bound) for con in self.constraints)
+        rows += [[*pin, 0] for pin in _pins(rows)]
         for combo in itertools.combinations(rows, 3):
             sol = _solve_square(combo)
             if sol is not None and _satisfies(rows, *sol):
                 nums, det = sol
                 return tuple(Fraction(v, det) for v in nums)
-        origin = (Fraction(0), Fraction(0), Fraction(0))
-        if self.feasible(origin):
-            return origin
         raise Infeasible("no feasible point found for the constraint system")
 
 
@@ -136,6 +139,32 @@ def _integer_rows(rows):
     return out
 
 
+def _pins(rows):
+    """Rows x_j <= 0 and -x_j <= 0 (as 3-vectors) for each variable j of
+    (xP, xL, theta) whose column in the integer rows is a combination of the
+    earlier columns: the non-pivot columns of the rows' echelon form.
+
+    Every x can be moved to x_j = 0 for all such j along directions in which
+    no row changes, so pinning them loses no value of any form, and leaves
+    a vertex wherever the constraints alone are feasible.  Rows of full
+    column rank get no pins.
+    """
+    m = [row[:3] for row in rows]
+    rank, pins = 0, []
+    for col in range(3):  # fraction-free elimination below each pivot
+        pivot = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
+        if pivot is None:
+            unit = [int(j == col) for j in range(3)]
+            pins += [unit, [-v for v in unit]]
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        top = m[rank]
+        m[rank + 1:] = [[top[col] * v - row[col] * w for v, w in zip(row, top)]
+                        for row in m[rank + 1:]]
+        rank += 1
+    return pins
+
+
 def _solve_square(rows):
     """Solve a square integer system given as [A | b] rows, or None if singular.
 
@@ -182,19 +211,41 @@ def evaluate_bound(prob, point):
     return max(f(point) for f in prob.forms)
 
 
+def _descends_forever(rows, nums, det):
+    """Whether t decreases without bound on the pointed polyhedron of the
+    [A | b] rows in (xP, xL, theta, t), from nums / det, its vertex of least t.
+
+    If it does, some edge from that vertex descends, and it cannot end at
+    a vertex: it is a ray r with row.r <= 0 for every row, along three of
+    the vertex's tight rows, and scaled to r[3] = -1 it solves a 4x4 system.
+    """
+    cone = [row[:-1] + [0] for row in rows]
+    tight = [ray for ray, row in zip(cone, rows)
+             if sum(a * v for a, v in zip(row, nums)) == row[-1] * det]
+    for combo in itertools.combinations(tight, 3):
+        sol = _solve_square([*combo, [0, 0, 0, 1, -1]])
+        if sol is not None and _satisfies(cone, *sol):
+            return True
+    return False
+
+
 def minimize_max(prob):
     """Exact LP min of max(forms) by vertex enumeration of the epigraph.
 
     Rows of the epigraph polytope in variables (xP, xL, theta, t):
     each form gives coeffs.(xP,xL,th) - t <= -const, each constraint
-    enters with a zero t-coefficient.  Every choice of four rows meeting
-    in a point is solved exactly; the optimum is the best feasible vertex.
+    enters with a zero t-coefficient, and _pins are added.
+    Every choice of four rows meeting in a point is solved exactly; the
+    optimum is the best feasible vertex, unless t decreases without bound
+    along a ray of the epigraph.  With feasible constraints and no vertex,
+    the epigraph contains a line along which t changes: also unbounded.
     """
     rows = [(*f.coeffs(), -1, -f.constant) for f in prob.forms]
     rows += [(con.a, con.b, con.c, 0, con.bound) for con in prob.constraints]
     if not any(r[3] != 0 for r in rows):
         raise Unbounded("no objective rows")
     rows = _integer_rows(rows)
+    rows += [[*pin, 0, 0] for pin in _pins(rows)]
 
     best = None  # (nums, det) of the first vertex with the least t = nums[3] / det
     for combo in itertools.combinations(rows, 4):
@@ -209,6 +260,8 @@ def minimize_max(prob):
     if best is None:
         prob.check_feasibility()  # raises Infeasible when the constraints are empty
         raise Unbounded("the epigraph has no feasible vertex")
+    if _descends_forever(rows, *best):
+        raise Unbounded("the max of the forms decreases without bound")
     nums, det = best
     point = tuple(Fraction(v, det) for v in nums[:3])
     value = Fraction(nums[3], det)

@@ -10,8 +10,10 @@ Conventions shared by every sum here:
   Kloosterman rows under c4_correlation) uses np.sum, also pairwise, for
   each y; c4_correlation's own sum over a is an fsum.  psi_average_raw
   fsums each character's row and adds the rows (+=) in character order;
-* roots of unity come from per-modulus tables built from exactly reduced
-  fractions j/c;
+* the raw sums take their roots of unity from the per-modulus tables
+  unit_roots(c), which evaluate np.exp(2*pi*i*j/c) without reducing j/c;
+  the closed forms evaluate theirs through RationalAngle, from the reduced
+  fraction.  The two routes may differ in the last bits of a root;
 * each result carries the summand count and a conservative bound on the
   accumulated rounding error (UNIT_EPS per tabulated root of unity);
 * the raw direct-summation path is always available next to a closed
@@ -266,7 +268,7 @@ def _odd_character_table(p):
     return table
 
 
-def psi_average_raw(params, budget=DEFAULT_BUDGET):
+def psi_average_raw(params):
     """sum over psi mod p of (1 - psi(-1)) S_psi(r, m; cpM), directly.
 
     One characters x units matrix holds the summands of every odd
@@ -275,7 +277,7 @@ def psi_average_raw(params, budget=DEFAULT_BUDGET):
     """
     p = params.p
     c_total = params.c * p * params.M
-    summands = kloosterman_terms((params.r,), (params.m,), c_total, budget)
+    summands = kloosterman_terms((params.r,), (params.m,), c_total)
     xs, _ = units_and_inverses(c_total)
     values = fsum_rows(_odd_character_table(p)[:, xs % p] * summands)
     row_est = 2 * UNIT_EPS * xs.size  # twisted_kloosterman's bound for one character
@@ -289,7 +291,7 @@ def psi_average_raw(params, budget=DEFAULT_BUDGET):
     return ExpSumValue(total, count, est + UNIT_EPS * count)
 
 
-def psi_average_closed(params, budget=DEFAULT_BUDGET):
+def psi_average_closed(params):
     """Exact orthogonality evaluation of psi_average_raw.
 
     Equals (p-1) S(pbar r, pbar m; cM) (e(w) - e(-w)) with pbar = p^-1 mod
@@ -301,7 +303,7 @@ def psi_average_closed(params, budget=DEFAULT_BUDGET):
     if gcd(params.p, cM) != 1:
         raise SharedFactor(f"gcd(p, cM) = {gcd(params.p, cM)} > 1")
     pbar = mod_inv(params.p, cM)
-    s = kloosterman(pbar * params.r, pbar * params.m, cM, budget)
+    s = kloosterman(pbar * params.r, pbar * params.m, cM)
     w = RationalAngle(mod_inv(cM, params.p) * (params.r + params.m), params.p)
     bracket = w.to_complex() - (-w).to_complex()
     value = (params.p - 1) * s.value * bracket
@@ -417,7 +419,7 @@ def _voronoi_setup(ns, rs, m, m_prime, c, d, ell, M):
     return cc, c1
 
 
-def voronoi_char_sums_raw(ns, rs, m, m_prime, c, d, ell, M, budget=DEFAULT_BUDGET):
+def voronoi_char_sums_raw(ns, rs, m, m_prime, c, d, ell, M):
     """The raw beta-sums of one (m, m', c, d, ell, M) group, every (r, n) at once.
 
     Returns (values, counts): values[i, j] is the sum at r = rs[i],
@@ -431,7 +433,7 @@ def voronoi_char_sums_raw(ns, rs, m, m_prime, c, d, ell, M, budget=DEFAULT_BUDGE
     _voronoi_setup(ns, rs, m, m_prime, c, d, ell, M)
     modulus = m * c // m_prime
     cc = c // d
-    _check_budget(modulus, budget)
+    _check_budget(modulus, DEFAULT_BUDGET)
     xs, inv = units_and_inverses(modulus)
     classes = (xs * (m_prime % cc)) % cc
     order = np.argsort(classes, kind="stable")
@@ -454,13 +456,13 @@ def voronoi_char_sums_raw(ns, rs, m, m_prime, c, d, ell, M, budget=DEFAULT_BUDGE
     return values, counts
 
 
-def voronoi_char_sum_raw(n, m, m_prime, c, d, r, ell, M, budget=DEFAULT_BUDGET):
+def voronoi_char_sum_raw(n, m, m_prime, c, d, r, ell, M):
     """The beta-sum produced by Voronoi summation, by direct enumeration.
 
     sum over units beta mod m*c/m' subject to r*ell*M^-1 + beta*m' = 0
     mod c/d, of e(beta^-1 n / (m*c/m')).
     """
-    values, counts = voronoi_char_sums_raw((n,), (r,), m, m_prime, c, d, ell, M, budget)
+    values, counts = voronoi_char_sums_raw((n,), (r,), m, m_prime, c, d, ell, M)
     k = int(counts[0])
     return ExpSumValue(values[0, 0], k, UNIT_EPS * max(k, 1))
 
@@ -522,7 +524,7 @@ def voronoi_char_sum_closed(n, m, m_prime, c, d, r, ell, M):
     return ExpSumValue(value, terms, min(UNIT_EPS * abs(value), 1e-12 * terms))
 
 
-def twisted_split_check(n, p, M, r, ell, c, psi, budget=DEFAULT_BUDGET):
+def twisted_split_check(n, p, M, r, ell, c, psi):
     """The three stages of splitting S_psi(n p^2 M, r ell; c p M).
 
     Returns (lhs, rhs1, rhs2) where
@@ -545,16 +547,16 @@ def twisted_split_check(n, p, M, r, ell, c, psi, budget=DEFAULT_BUDGET):
         raise ParameterInconsistency("r ell must be prime to M")
     if psi.modulus != p:
         raise ModulusMismatch("psi must be a character mod p")
-    lhs = twisted_kloosterman(psi, n * p * p * M, r * ell, c * p * M, budget)
+    lhs = twisted_kloosterman(psi, n * p * p * M, r * ell, c * p * M)
     if c % M == 0:
         return lhs, None, None
     mbar_cp = mod_inv(M, c * p)
-    s1 = twisted_kloosterman(psi, n * p * p, r * ell * mbar_cp, c * p, budget)
+    s1 = twisted_kloosterman(psi, n * p * p, r * ell * mbar_cp, c * p)
     rhs1 = ExpSumValue(-s1.value, s1.terms, s1.est_error)
     if c % p == 0 or (r * ell) % p == 0:
         return lhs, rhs1, None
     mbar_c = mbar_cp % c if c > 1 else 0
-    s = kloosterman(n, r * ell * mbar_c, c, budget)
+    s = kloosterman(n, r * ell * mbar_c, c)
     front = psi.eval(r * ell) * psi.conjugate().eval(c * M) * gauss_sum(psi.conjugate())
     value = -front * s.value
     terms = s.terms * p

@@ -20,11 +20,11 @@ MAX_DENOMINATOR = 1 << 62
 TAU = 2.0 * math.pi
 
 
-def check_modulus(m, what="modulus"):
+def check_modulus(m):
     if m < 1:
-        raise InvalidValue(f"{what} must be positive, got {m}")
+        raise InvalidValue(f"modulus must be positive, got {m}")
     if m > MAX_MODULUS:
-        raise LimitExceeded(f"{what} {m} exceeds the supported bound 2**31")
+        raise LimitExceeded(f"modulus {m} exceeds the supported bound 2**31")
     return m
 
 

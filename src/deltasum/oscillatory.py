@@ -13,8 +13,8 @@ bessel_j uses three regimes:
 bessel_j also takes a 1-D array of arguments.  Each element is classified
 by the same thresholds; the Miller elements share one backward loop over
 the order, vectorised over the elements, in which every element starts at
-its own order and rescales on its own overflow test, so it goes through
-exactly the operations of the scalar recurrence and gets the same bits.
+its own order, so it goes through exactly the operations of the scalar
+recurrence and gets the same bits.
 
 The window integral is done by adaptive bisection with fixed-order
 Gauss-Legendre panels whose initial width is capped below one oscillation
@@ -22,8 +22,8 @@ of the integrand's phase, which is robust at desk scale without any
 stationary-phase machinery.  Bisection runs level by level: each level
 evaluates the whole/left/right panels of every pending panel with one
 batched integrand call per chunk of at most _MAX_BATCH_NODES nodes, then
-accepts or splits each panel.  Initial panels are taken in blocks of at
-most _MAX_PANELS, and a level that would need more pending panels raises
+accepts or splits each panel.  The initial grid counts as level 0: a
+level that would need more than _MAX_PANELS panels raises
 QuadratureNonConvergence, so memory stays bounded however small c or tol
 is.  Panel sums add the nodes in Gauss-Legendre order, and the value and
 error estimate are combined in the depth-first order of the recursive
@@ -72,6 +72,7 @@ def _miller_j(nu, x):
     start = max(nu, int(x)) + 40 + int(1.5 * math.sqrt(max(nu, x)))
     if start % 2:
         start += 1
+    # |f| <~ 1e-300/|J_start(x)| < 1e-80 for nu <= 200 (test_miller_overflow_headroom)
     fp = 0.0          # J_{k+1} (unnormalized)
     f = 1e-300        # J_k
     norm = 0.0
@@ -84,11 +85,6 @@ def _miller_j(nu, x):
             result = f
         if kk % 2 == 0:
             norm += f if kk == 0 else 2.0 * f
-        if abs(f) > 1e250:
-            f *= 1e-250
-            fp *= 1e-250
-            norm *= 1e-250
-            result *= 1e-250
     return result / norm
 
 
@@ -132,7 +128,6 @@ def _miller_j_batch(nu, x):
     fm = np.empty(size)
     norm = np.zeros(size)
     result = np.zeros(size)
-    big = np.empty(size, dtype=bool)
     n = 0
     for k in range(int(starts[0]), 0, -1):
         began = n
@@ -149,13 +144,6 @@ def _miller_j_batch(nu, x):
             result[:n] = f[:n]
         if kk % 2 == 0:
             norm[:n] += f[:n] if kk == 0 else 2.0 * f[:n]
-        np.greater(np.abs(f[:n]), 1e250, out=big[:n])
-        if big[:n].any():
-            hit = np.flatnonzero(big[:n])
-            f[hit] *= 1e-250
-            fp[hit] *= 1e-250
-            norm[hit] *= 1e-250
-            result[hit] *= 1e-250
     out = np.empty(size)
     out[order] = result / norm
     return out
@@ -231,13 +219,17 @@ class WindowFunction:
     def __post_init__(self):
         if self.kind not in ("bump", "plateau"):
             raise InvalidValue(f"unknown window kind {self.kind!r}")
-        if self.theta < 0:
-            raise InvalidValue("theta must be nonnegative")
+        if not 0 <= self.theta < math.inf:
+            raise InvalidValue(f"theta must be finite and nonnegative, got {self.theta}")
 
     def support(self, M):
         if self.kind == "bump":
             return 1.0, 2.0
-        return float(M) ** (-4.0 * self.theta), 4.0
+        lo = float(M) ** (-4.0 * self.theta)
+        if lo == 0.0:
+            raise InvalidValue(f"the window's lower edge M**(-4 theta) underflows to 0 "
+                               f"at M = {M}, theta = {self.theta}")
+        return lo, 4.0
 
     def __call__(self, y, M):
         if self.kind == "bump":
@@ -273,8 +265,9 @@ class IntegralParams:
     k: int = 43
 
     def __post_init__(self):
-        if min(self.N, self.n, self.p, self.ell, self.c, self.M, self.m) <= 0:
-            raise InvalidValue("all parameters must be positive")
+        values = (self.N, self.n, self.p, self.ell, self.c, self.M, self.m)
+        if not all(0 < v < math.inf for v in values):  # no float(): ints may be huge
+            raise InvalidValue("all parameters must be finite and positive")
         if self.k < 7 or self.k % 4 != 3:
             raise InvalidValue("the weight k must be >= 7 with k = 3 mod 4")
 
@@ -362,21 +355,17 @@ def _bisect(f, a, b, tol, depth):
 def _adaptive(f, edges, tol, depth=_MAX_DEPTH):
     """Adaptive Gauss-Legendre integral of f over consecutive panels.
 
-    f maps a 1-D array of nodes to the complex integrand there.  The panels
-    are bisected in blocks of at most _MAX_PANELS, left to right, so the
-    bookkeeping stays bounded however many panels there are.  Returns
+    f maps a 1-D array of nodes to the complex integrand there.  Returns
     (value, sum of the accepted differences), both added in the depth-first
     order of the recursive rule.
     """
     edges = np.asarray(edges, dtype=float)
+    values, diffs = _bisect(f, edges[:-1], edges[1:], tol, depth)
     total, err = 0j, 0.0
-    for lo in range(0, edges.size - 1, _MAX_PANELS):
-        block = edges[lo:lo + _MAX_PANELS + 1]
-        values, diffs = _bisect(f, block[:-1], block[1:], tol, depth)
-        for v in values:
-            total += v
-        for d in diffs:
-            err += d
+    for v in values:
+        total += v
+    for d in diffs:
+        err += d
     return total, err
 
 
@@ -413,6 +402,9 @@ def integral_value_and_error(params, window, tol=1e-12):
     bessel_freq = coeff / (4.0 * math.pi * math.sqrt(lo))
     wavelength = 1.0 / max(freq + bessel_freq, 1.0 / (hi - lo))
     width = min((hi - lo) / 4.0, 0.5 * wavelength)
+    if hi - lo > _MAX_PANELS * width:  # compared, not divided: width may underflow to 0
+        raise QuadratureNonConvergence(
+            f"bisection needs more than {_MAX_PANELS} panels in one level (the initial grid)")
     n_panels = max(4, int(math.ceil((hi - lo) / width)))
     edges = np.linspace(lo, hi, n_panels + 1)
     total, err = _adaptive(f, edges, tol / n_panels)

@@ -59,7 +59,7 @@ class ScanReport:
     runtime_ms: int = 0
     notes: dict = field(default_factory=dict)
 
-    def payload(self, include_runtime=False):
+    def payload(self):
         out = {
             "suite": self.suite,
             "grid": self.grid,
@@ -70,12 +70,10 @@ class ScanReport:
         }
         if self.notes:
             out["notes"] = self.notes
-        if include_runtime:
-            out["runtime_ms"] = self.runtime_ms
         return out
 
-    def to_json(self, include_runtime=False):
-        return json.dumps(self.payload(include_runtime), indent=2)
+    def to_json(self):
+        return json.dumps(self.payload(), indent=2)
 
     def csv_row(self):
         witness = json.dumps(list(self.worst_witness) if self.worst_witness is not None else None)

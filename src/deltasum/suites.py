@@ -148,17 +148,20 @@ def reciprocity_case(a, b, n):
     return 0.0 if lhs == rhs else 1.0
 
 
-def suite_reciprocity(trials=10**4, seed=1, max_modulus=10**6):
+RECIPROCITY_MAX_MODULUS = 10**6  # a, b and n are drawn from 1..this
+
+
+def suite_reciprocity(trials=10**4, seed=1):
     sweep = _Sweep()
     rng = Lcg(seed)
     while sweep.cases < trials:
-        a = 1 + rng.below(max_modulus)
-        b = 1 + rng.below(max_modulus)
+        a = 1 + rng.below(RECIPROCITY_MAX_MODULUS)
+        b = 1 + rng.below(RECIPROCITY_MAX_MODULUS)
         if math.gcd(a, b) != 1:
             continue
-        n = 1 + rng.below(max_modulus)
+        n = 1 + rng.below(RECIPROCITY_MAX_MODULUS)
         sweep.add((a, b, n), reciprocity_case(a, b, n))
-    grid = {"trials": trials, "seed": seed, "max_modulus": max_modulus}
+    grid = {"trials": trials, "seed": seed, "max_modulus": RECIPROCITY_MAX_MODULUS}
     return sweep.report("reciprocity", grid, ceiling=0.0)
 
 
@@ -463,14 +466,18 @@ def _dsum_rows(M):
     return np.abs(rows)
 
 
-def suite_dsum_cancel(M_max=300, ceiling=4.0):
+DSUM_CEILING = 4.0  # the pass ceiling of |D(u; M)| / sqrt(M)
+
+
+def suite_dsum_cancel(M_max=300):
     sweep = _Sweep()
     for M in primes_between(2, M_max + 1):
         rows = _dsum_rows(M)[:, 1:]  # drop u = 0
         chi_row, u_col = divmod(int(np.argmax(rows)), M - 1)
         witness = (M, chi_row + 1, u_col + 1)
         sweep.add(witness, dsum_cancel_case(*witness), count=rows.size)
-    return sweep.report("dsum-cancel", {"M_max": M_max, "ceiling": ceiling}, ceiling=ceiling)
+    return sweep.report("dsum-cancel", {"M_max": M_max, "ceiling": DSUM_CEILING},
+                        ceiling=DSUM_CEILING)
 
 
 # -------------------------------------------------------------- bessel decay

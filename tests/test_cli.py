@@ -226,6 +226,10 @@ def test_domain_error_exits_2(capsys):
     ("integral", "--preset", "toy", "--c", "0"),
     ("integral", "--preset", "toy", "--tol", "0"),
     ("integral", "--preset", "toy", "--tol", "nan"),
+    ("integral", "--preset", "toy", "--N", "inf"),
+    ("integral", "--preset", "toy", "--c", "inf"),
+    ("integral", "--preset", "toy", "--theta", "nan"),
+    ("integral", "--preset", "toy", "--theta", "1e308"),  # M**(-4 theta) underflows to 0
 ])
 def test_invalid_value_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv, "--no-cache")
@@ -250,6 +254,25 @@ def test_size_limit_still_exits_3(capsys):
                        "--c", str(2**31 + 1), "--budget", str(2**32), "--no-cache")
     assert code == 3
     assert "2**31" in err
+
+
+@pytest.mark.parametrize("argv", [("--c", "1e-300"), ("--N", "1e308", "--c", "1e-300")])
+def test_integral_initial_grid_above_the_panel_limit_exits_3(capsys, argv):
+    code, out, err = run(capsys, "integral", "--preset", "toy", *argv, "--no-cache")
+    assert code == 3
+    assert out == "" and "131072 panels in one level" in err
+
+
+@pytest.mark.parametrize("flags, name", [(("--problem",), "."),  # a directory
+                                         (("--problem",), "latin1.txt"),
+                                         (("--paper", "--config"), "latin1.txt"),
+                                         (("--problem",), "missing.prob")])
+def test_unreadable_input_file_exits_2(capsys, tmp_path, flags, name):
+    (tmp_path / "latin1.txt").write_bytes(b"# caf\xe9\n")
+    path = str(tmp_path / name)
+    code, out, err = run(capsys, "optimize", *flags, path, "--no-cache")
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and path in err
 
 
 @pytest.mark.parametrize("argv", [("optimize", "--paper"),

@@ -204,16 +204,38 @@ def fraction_solve_square(rows):
     return [m[r][n] for r in range(n)]
 
 
+def fraction_pins(rows):
+    """x_j <= 0 and -x_j <= 0 for each column j of (xP, xL, theta) that does
+    not raise the rank of the columns before it."""
+    def rank(cols):
+        m = [[Fraction(row[j]) for j in cols] for row in rows]
+        found = 0
+        for col in range(len(cols)):
+            pivot = next((i for i in range(found, len(m)) if m[i][col] != 0), None)
+            if pivot is not None:
+                m[found], m[pivot] = m[pivot], m[found]
+                for i in range(found + 1, len(m)):
+                    factor = m[i][col] / m[found][col]
+                    m[i] = [v - factor * w for v, w in zip(m[i], m[found])]
+                found += 1
+        return found
+
+    pins = []
+    for j in range(3):
+        if rank(range(j + 1)) == rank(range(j)):
+            unit = [Fraction(int(i == j)) for i in range(3)]
+            pins += [unit, [-v for v in unit]]
+    return pins
+
+
 def fraction_check_feasibility(prob):
-    cons = prob.constraints
-    for combo in itertools.combinations(range(len(cons)), 3):
-        rows = [[cons[i].a, cons[i].b, cons[i].c, cons[i].bound] for i in combo]
-        point = fraction_solve_square(rows)
-        if point is not None and prob.feasible(tuple(point)):
+    rows = [[c.a, c.b, c.c, c.bound] for c in prob.constraints]
+    rows += [[*pin, 0] for pin in fraction_pins(rows)]
+    for combo in itertools.combinations(rows, 3):
+        point = fraction_solve_square(combo)
+        if point is not None and all(a * point[0] + b * point[1] + c * point[2] <= bound
+                                     for (a, b, c, bound) in rows):
             return tuple(point)
-    origin = (Fraction(0), Fraction(0), Fraction(0))
-    if prob.feasible(origin):
-        return origin
     raise Infeasible("no feasible point found for the constraint system")
 
 
@@ -226,6 +248,7 @@ def fraction_minimize_max(prob):
         rows.append((con.a, con.b, con.c, Fraction(0), con.bound))
     if not any(r[3] != 0 for r in rows):
         raise Unbounded("no objective rows")
+    rows += [(*pin, 0, 0) for pin in fraction_pins(rows)]
 
     def feasible_vertex(values):
         return all(a * values[0] + b * values[1] + c * values[2] + d * values[3] <= bound
@@ -244,6 +267,12 @@ def fraction_minimize_max(prob):
     if best is None:
         fraction_check_feasibility(prob)
         raise Unbounded("the epigraph has no feasible vertex")
+    # Unbounded iff some ray r (row.r <= 0 for every row) has r[3] < 0; the
+    # rows are pointed, so one with three rows tight and r[3] = -1 exists then.
+    for combo in itertools.combinations(rows, 3):
+        ray = fraction_solve_square([(*row[:4], 0) for row in combo] + [(0, 0, 0, 1, -1)])
+        if ray is not None and all(sum(a * v for a, v in zip(row, ray)) <= 0 for row in rows):
+            raise Unbounded("the max of the forms decreases without bound")
     point = (best[0], best[1], best[2])
     value = best[3]
     active = tuple(i for i, f in enumerate(prob.forms) if f(point) == value)
@@ -303,12 +332,38 @@ def test_integer_lp_equals_fraction_oracle(prob):
     assert prob.check_feasibility() == fraction_check_feasibility(prob)
 
 
+# Problems without a vertex: xL is free in the first, xL and theta in the
+# second and third.  The third decreases without bound as xP -> -infinity.
+FREE_XL = BoundProblem((form(0, 0, 1), form(0, 0, -1)), tuple(constraint(*row) for row in (
+    (1, 0, 0, -1), (-1, 0, 0, 3), (0, 0, 1, 1), (0, 0, -1, 1))))
+FREE_XL_THETA = BoundProblem((form(1, 1), form(1, -1)), ())
+DESCENDING = BoundProblem((form(0, 1),), (constraint(1, 0, 0, -1),))
+
+
 def test_infeasible_and_unbounded_match_the_oracle():
     paper = paper_bound_problem()
     infeasible = BoundProblem(paper.forms, (constraint(1, 0, 0, -1), constraint(-1, 0, 0, -1)))
     unbounded = BoundProblem((form(0, 1), form(0, 2), form(1, 1)), ())
-    for prob, raised in ((infeasible, Infeasible), (unbounded, Unbounded)):
-        assert outcome(minimize_max, prob) is outcome(fraction_minimize_max, prob) is raised
+    for prob, want in ((infeasible, Infeasible), (unbounded, Unbounded), (DESCENDING, Unbounded),
+                       (FREE_XL, OptimizationResult((-1, 0, 1), 0, (0, 1))),
+                       (FREE_XL_THETA, OptimizationResult((0, 0, 0), 1, (0, 1)))):
+        assert outcome(minimize_max, prob) == outcome(fraction_minimize_max, prob) == want
+    for prob in (FREE_XL, FREE_XL_THETA, DESCENDING):
+        assert prob.check_feasibility() == fraction_check_feasibility(prob)
+
+
+@pytest.mark.parametrize("text, code, output", [
+    ("form: 1*xL\nform: -1*xL\nst: 1*xP <= -1\nst: -1*xP <= 3\nst: 1*th <= 1\n"
+     "st: -1*th <= 1\n", 0, "theta = 1\nexponent = 0\nxP = -1\nxL = 0\n"),
+    ("form: 1 + 1*xP\nform: 1 - 1*xP\n", 0, "theta = 0\nexponent = 1\nxP = 0\nxL = 0\n"),
+    ("form: 1*xP\nst: 1*xP <= -1\n", 2, "error: the max of the forms decreases without bound\n"),
+], ids=["free-xL", "free-xL-theta", "descending"])
+def test_optimize_problem_without_a_vertex(capsys, tmp_path, text, code, output):
+    path = tmp_path / "free.prob"
+    path.write_text(text)
+    assert main(["optimize", "--problem", str(path), "--exact", "--no-cache"]) == code
+    captured = capsys.readouterr()
+    assert (captured.out if code == 0 else captured.err) == output
 
 
 if st is not None:

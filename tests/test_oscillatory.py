@@ -240,6 +240,37 @@ def test_bessel_mpmath_oracle_at_regime_boundaries(nu):
             assert abs(bessel_j(nu, x) - float(mpmath.besselj(nu, x))) <= 1.6e-13, x
 
 
+def _miller_start(nu, x):
+    """The order at which _miller_j starts its backward recurrence."""
+    start = max(nu, int(x)) + 40 + int(1.5 * math.sqrt(max(nu, x)))
+    return start + start % 2
+
+
+def test_miller_overflow_headroom():
+    """_miller_j needs no rescaling: its recurrence starts at 1e-300 and then
+    runs near 1e-300 * J_k(x) / J_start(x), with |J_k| <= 1, so it stays far
+    below 1e250.  Checked for every order just above the series threshold,
+    where the headroom is least, and for every 20th order on a log grid of x."""
+    mpmath = pytest.importorskip("mpmath")
+    from deltasum.oscillatory import MAX_BESSEL_ORDER
+
+    def first_miller_x(nu):
+        x = math.sqrt(4.0 * (nu + 1))
+        while x * x <= 4.0 * (nu + 1):
+            x = math.nextafter(x, math.inf)
+        return x
+
+    def peak(nu, x):  # in mpmath's arbitrary exponent range, so nothing underflows
+        return 1e-300 / abs(mpmath.besselj(_miller_start(nu, x), x))
+
+    for nu in range(MAX_BESSEL_ORDER + 1):
+        x = first_miller_x(nu)
+        assert peak(nu, x) < 1e250, (nu, x)
+    for nu in range(0, MAX_BESSEL_ORDER + 1, 20):
+        for x in np.geomspace(first_miller_x(nu), 3000.0, 12).tolist():
+            assert peak(nu, x) < 1e250, (nu, x)
+
+
 def test_integral_tiny_bessel_argument():
     # 4 pi sqrt(N n ell^2)/(c p M) << 1 with k = 43: astronomically small
     params = IntegralParams(N=100.0, n=1, p=11, ell=3, c=1000.0, M=10**4, k=43)

@@ -114,9 +114,8 @@ def test_integral_bits_pinned(kind, c, tol):
 
 
 @pytest.mark.parametrize("c", [29.0, 8.0])
-def test_integral_bits_independent_of_batch_and_block_size(c, monkeypatch):
+def test_integral_bits_independent_of_batch_size(c, monkeypatch):
     from deltasum import oscillatory
 
     monkeypatch.setattr(oscillatory, "_MAX_BATCH_NODES", 45)  # three panels per call
-    monkeypatch.setattr(oscillatory, "_MAX_PANELS", 4)  # initial panels in blocks of four
     test_integral_bits_pinned("plateau", c, 1e-12)

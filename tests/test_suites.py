@@ -93,7 +93,7 @@ def test_report_json_schema():
     assert set(payload) >= {"suite", "grid", "cases", "max_deviation",
                             "worst_witness", "passed"}
     assert "runtime_ms" not in payload  # only the CSV ledger carries wall time
-    assert json.loads(report.to_json(include_runtime=True))["runtime_ms"] >= 0
+    assert report.runtime_ms >= 0 and report.csv_row()[-1] == str(report.runtime_ms)
 
 
 def test_ledger_append(tmp_path):
@@ -112,9 +112,9 @@ def test_ledger_append(tmp_path):
 
 def test_report_payload_rejects_nothing_exotic():
     report = ScanReport("demo", {"a": 1}, 2, 0.5, (1, 2), True, 17)
-    payload = report.payload(include_runtime=True)
+    payload = report.payload()
     json.dumps(payload)
-    assert payload["runtime_ms"] == 17
+    assert report.runtime_ms == 17 and report.csv_row()[-1] == "17"
 
 
 def test_exponent_suite_reports_exact_strings():
@@ -141,7 +141,9 @@ def test_run_suite_rejects_unknown():
 
 @pytest.mark.parametrize("name, keyword", [("weil", "trials"), ("exponent", "seed"),
                                            ("weil", "tolerance_scale"),
-                                           ("psi-average", "budget"), ("c3", "seed")])
+                                           ("psi-average", "budget"), ("c3", "seed"),
+                                           ("dsum-cancel", "ceiling"),
+                                           ("reciprocity", "max_modulus")])
 def test_run_suite_rejects_undeclared_keywords(name, keyword):
     with pytest.raises(InvalidValue, match=keyword):
         run_suite(name, preset="smoke", **{keyword: 1})
