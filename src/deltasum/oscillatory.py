@@ -10,6 +10,13 @@ bessel_j uses three regimes:
 * the Hankel large-argument expansion once x >> nu**2, where the
   recurrence would cost O(x).
 
+A scalar Miller call does not run its own recurrence: one backward run from
+a start order at x gives every order below the start, so the calls at one
+x whose start orders agree (as the recurrence check's J_{nu-1}, J_nu and
+J_{nu+1} mostly do) share one run.  _miller_run keeps orders 0..201 of the
+last four runs (a bounded memo of at most 4 x 202 floats, whatever x is),
+and each value is bit-identical to a run of its own.
+
 bessel_j also takes a 1-D array of arguments.  Each element is classified
 by the same thresholds; the Miller elements share one backward loop over
 the order, vectorised over the elements, in which every element starts at
@@ -68,24 +75,57 @@ def _series_j(nu, x):
     return total
 
 
-def _miller_j(nu, x):
+def _miller_start(nu, x):
+    """The even order at which the backward recurrence for J_nu(x) starts."""
     start = max(nu, int(x)) + 40 + int(1.5 * math.sqrt(max(nu, x)))
-    if start % 2:
-        start += 1
+    return start + start % 2
+
+
+def _miller_starts(nu, x):
+    """_miller_start(nu, xi) for each element xi of the 1-D array x."""
+    starts = (np.maximum(nu, x.astype(np.int64)) + 40
+              + (1.5 * np.sqrt(np.maximum(nu, x))).astype(np.int64))
+    return starts + starts % 2
+
+
+# The recurrence check reads J_{nu-1}, J_nu and J_{nu+1} at one x, which start
+# at up to three orders; four runs keep them all, in about 26 KB.
+@functools.lru_cache(maxsize=4)
+def _miller_run(start, x):
+    """One backward recurrence from order start at x: (the unnormalized J_k(x)
+    for k = 0 .. min(start, MAX_BESSEL_ORDER + 2) - 1, the normalization).
+
+    J_nu(x) = values[nu] / norm for every nu whose _miller_start is start.
+    Orders above MAX_BESSEL_ORDER + 1 are run through and not kept, so a run
+    holds at most 202 floats however large x is.
+    """
     # |f| <~ 1e-300/|J_start(x)| < 1e-80 for nu <= 200 (test_miller_overflow_headroom)
+    keep = min(start, MAX_BESSEL_ORDER + 2)
     fp = 0.0          # J_{k+1} (unnormalized)
     f = 1e-300        # J_k
     norm = 0.0
-    result = 0.0
-    for k in range(start, 0, -1):
-        fm = (2.0 * k / x) * f - fp
-        fp, f = f, fm
-        kk = k - 1
-        if kk == nu:
-            result = f
-        if kk % 2 == 0:
-            norm += f if kk == 0 else 2.0 * f
-    return result / norm
+    t = 2.0 * start   # 2.0 * k, exact
+    for _ in range((start - keep) // 2):  # start is even: two orders per pass
+        fp = (t / x) * f - fp
+        t -= 2.0
+        f = (t / x) * fp - f
+        t -= 2.0
+        norm += 2.0 * f
+    values = [0.0] * keep
+    for k in range(keep - 1, 0, -2):  # orders k (odd) and k - 1
+        fp = (t / x) * f - fp
+        t -= 2.0
+        f = (t / x) * fp - f
+        t -= 2.0
+        values[k] = fp
+        values[k - 1] = f
+        norm += 2.0 * f if k > 1 else f
+    return tuple(values), norm
+
+
+def _miller_j(nu, x):
+    values, norm = _miller_run(_miller_start(nu, x), x)
+    return values[nu] / norm
 
 
 def _hankel_j(nu, x):
@@ -114,11 +154,9 @@ def _miller_j_batch(nu, x):
 
     Elements are sorted by their starting order, so the ones already
     running at order k are a prefix of the arrays; each step does on that
-    prefix exactly what _miller_j does on one element.
+    prefix exactly what _miller_run does on one element.
     """
-    starts = np.array([max(nu, int(xi)) + 40 + int(1.5 * math.sqrt(max(nu, xi)))
-                       for xi in x.tolist()])
-    starts += starts % 2
+    starts = _miller_starts(nu, x)
     order = np.argsort(-starts, kind="stable")
     starts = starts[order]
     xs = x[order]
@@ -268,6 +306,11 @@ class IntegralParams:
         values = (self.N, self.n, self.p, self.ell, self.c, self.M, self.m)
         if not all(0 < v < math.inf for v in values):  # no float(): ints may be huge
             raise InvalidValue("all parameters must be finite and positive")
+        try:
+            for v in values:
+                float(v)
+        except OverflowError:
+            raise InvalidValue("every parameter must fit in a float (at most 1.8e308)") from None
         if self.k < 7 or self.k % 4 != 3:
             raise InvalidValue("the weight k must be >= 7 with k = 3 mod 4")
 

@@ -506,9 +506,9 @@ def bessel_decay_case(kind, *params):
     """Re-evaluate one bessel-decay witness at the toy parameters."""
     if kind == "recurrence":
         nu, x = int(params[0]), float(params[1])
-        res = abs(bessel_j(nu - 1, x) + bessel_j(nu + 1, x)
-                  - (2.0 * nu / x) * bessel_j(nu, x))
-        return res / (1e-9 * max(1.0, abs(bessel_j(nu, x))))
+        j = bessel_j(nu, x)
+        res = abs(bessel_j(nu - 1, x) + bessel_j(nu + 1, x) - (2.0 * nu / x) * j)
+        return res / (1e-9 * max(1.0, abs(j)))
     row = _decay_row(float(params[0]))
     if kind == "negligible":
         return row["abs_integral"] / NEGLIGIBLE

@@ -230,6 +230,8 @@ def test_domain_error_exits_2(capsys):
     ("integral", "--preset", "toy", "--c", "inf"),
     ("integral", "--preset", "toy", "--theta", "nan"),
     ("integral", "--preset", "toy", "--theta", "1e308"),  # M**(-4 theta) underflows to 0
+    ("integral", "--preset", "toy", "--M", "9" * 310),  # no float holds it
+    ("integral", "--preset", "toy", "--n", "1" + "0" * 309),
 ])
 def test_invalid_value_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv, "--no-cache")

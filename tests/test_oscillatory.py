@@ -7,10 +7,14 @@ import pytest
 
 from deltasum.errors import InvalidValue, OutOfRange
 from deltasum.oscillatory import (
+    MAX_BESSEL_ORDER,
     TOY_PARAMS,
     TOY_THETA,
     IntegralParams,
     WindowFunction,
+    _miller_run,
+    _miller_start,
+    _miller_starts,
     bessel_j,
     integral_value_and_error,
     transition_cutoff,
@@ -240,19 +244,12 @@ def test_bessel_mpmath_oracle_at_regime_boundaries(nu):
             assert abs(bessel_j(nu, x) - float(mpmath.besselj(nu, x))) <= 1.6e-13, x
 
 
-def _miller_start(nu, x):
-    """The order at which _miller_j starts its backward recurrence."""
-    start = max(nu, int(x)) + 40 + int(1.5 * math.sqrt(max(nu, x)))
-    return start + start % 2
-
-
 def test_miller_overflow_headroom():
     """_miller_j needs no rescaling: its recurrence starts at 1e-300 and then
     runs near 1e-300 * J_k(x) / J_start(x), with |J_k| <= 1, so it stays far
     below 1e250.  Checked for every order just above the series threshold,
     where the headroom is least, and for every 20th order on a log grid of x."""
     mpmath = pytest.importorskip("mpmath")
-    from deltasum.oscillatory import MAX_BESSEL_ORDER
 
     def first_miller_x(nu):
         x = math.sqrt(4.0 * (nu + 1))
@@ -269,6 +266,71 @@ def test_miller_overflow_headroom():
     for nu in range(0, MAX_BESSEL_ORDER + 1, 20):
         for x in np.geomspace(first_miller_x(nu), 3000.0, 12).tolist():
             assert peak(nu, x) < 1e250, (nu, x)
+
+
+def _one_order_miller(nu, x):
+    """Miller's recurrence run for one order, the loop each scalar call ran
+    before calls at one x shared a run: the reference for _miller_run."""
+    start = _miller_start(nu, x)
+    fp = 0.0
+    f = 1e-300
+    norm = 0.0
+    result = 0.0
+    for k in range(start, 0, -1):
+        fm = (2.0 * k / x) * f - fp
+        fp, f = f, fm
+        kk = k - 1
+        if kk == nu:
+            result = f
+        if kk % 2 == 0:
+            norm += f if kk == 0 else 2.0 * f
+    return result / norm
+
+
+def _miller_points(nu, count=6):
+    """Miller-regime x for J_nu: its first and last x, both sides of nu + 1
+    (where J_{nu-1}, J_nu and J_{nu+1} start at different orders, or at one),
+    and seeded log-uniform draws up to the Hankel edge."""
+    lo = math.nextafter(math.sqrt(4.0 * (nu + 1)), math.inf)
+    hi = max(1e4, 3.0 * nu * nu)
+    rng = np.random.default_rng(1000 + nu)
+    points = [lo, hi, float(nu + 1), nu + 1.5, math.nextafter(nu + 1.0, 0.0)]
+    points += np.exp(rng.uniform(math.log(lo), math.log(hi), count)).tolist()
+    return [x for x in points if lo <= x <= hi]
+
+
+@pytest.mark.parametrize("nu", [0, 1, 2, 42, 199, 200])
+def test_scalar_miller_equals_one_order_reference(nu):
+    neighbours = [o for o in (nu + 1, nu - 1) if 0 <= o <= MAX_BESSEL_ORDER]
+    for x in _miller_points(nu):
+        want = _one_order_miller(nu, x).hex()
+        assert bessel_j(nu, x).hex() == want, x  # the memo as earlier points left it
+        _miller_run.cache_clear()
+        assert bessel_j(nu, x).hex() == want, x  # a cold run
+        _miller_run.cache_clear()
+        for order in neighbours:  # warmed by the recurrence check's other orders
+            bessel_j(order, x)
+        assert bessel_j(nu, x).hex() == want, x
+
+
+def test_miller_memo_is_bounded():
+    assert _miller_run.cache_info().maxsize is not None
+    values, _ = _miller_run(_miller_start(200, 1e5), 1e5)
+    assert isinstance(values, tuple)  # a memoised run cannot be altered by a caller
+    assert len(values) <= MAX_BESSEL_ORDER + 2
+
+
+@pytest.mark.parametrize("nu", [0, 1, 42, 199, 200])
+def test_miller_start_array_equals_scalar(nu):
+    """The array start rule of _miller_j_batch against the scalar one, where
+    int() or the sqrt term is about to step: integer x and x near
+    (2j/3)**2, plus both sides of the series and Hankel edges."""
+    xs = [float(i) for i in range(1, 400)] + np.geomspace(400.0, 1.3e5, 200).round().tolist()
+    xs += [(2.0 * j / 3.0) ** 2 for j in range(1, 540)]
+    xs += [math.sqrt(4.0 * (nu + 1)), max(1e4, 3.0 * nu * nu)]
+    xs += [math.nextafter(x, d) for x in xs for d in (0.0, math.inf)]
+    got = _miller_starts(nu, np.array(xs))
+    assert got.tolist() == [_miller_start(nu, x) for x in xs]
 
 
 def test_integral_tiny_bessel_argument():
