@@ -6,23 +6,28 @@ principal character; mod a prime every non-principal character is
 primitive.  Evaluation goes through a per-modulus discrete-log table;
 chi.eval(n) then takes the root from the reduced fraction (RationalAngle),
 while value_array() gathers it from the unit_roots(q - 1) table, which does
-not reduce j/(q-1), so the two may differ in the last bits.  Both tables
-are kept in a bounded least-recently-used memo (256 tables) and shared
-read-only, so characters are cheap value objects safe for concurrent use.
-Two threads racing on a missing table may each build it; both builds are
+not reduce j/(q-1), so the two may differ in the last bits.
+character_table(q) gathers every character's value_array() at once, one
+row per index, with the same bits; sweeps over all characters of one
+modulus use it, while a single character (sum dsum, sum gauss) keeps its
+one row and never builds the (q-1) x q table.
+
+The discrete-log and root tables are kept in numcore.table_memo (the 256
+most recently used tables of at most 2**20 entries) and shared read-only,
+so characters are cheap value objects safe for concurrent use.  Two
+threads racing on a missing table may each build it; both builds are
 equal, and one of them is kept.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from math import fsum
 
 import numpy as np
 
 from .errors import LimitExceeded, NotPrime
-from .numcore import RationalAngle, factorize, is_prime
+from .numcore import RationalAngle, factorize, is_prime, table_memo
 
 MAX_CHARACTER_MODULUS = 10**6
 
@@ -36,7 +41,7 @@ def primitive_root(q):
     raise NotPrime(f"no primitive root mod {q}")
 
 
-@functools.lru_cache(maxsize=256)
+@table_memo
 def discrete_log_table(q):
     """table[x] = k with g**k = x mod q (table[0] = -1), cached per modulus."""
     g = primitive_root(q)
@@ -49,9 +54,9 @@ def discrete_log_table(q):
     return table
 
 
-@functools.lru_cache(maxsize=256)
+@table_memo
 def unit_roots(n):
-    """Array of the n-th roots of unity e(j/n), j = 0..n-1, cached."""
+    """Array of the n-th roots of unity e(j/n), j = 0..n-1, memoised."""
     w = np.exp(2j * np.pi * np.arange(n) / n)
     w.setflags(write=False)
     return w
@@ -112,6 +117,17 @@ class DirichletCharacter:
         vals = np.zeros(q, dtype=np.complex128)
         vals[1:] = roots[(self.index * dlog[1:]) % (q - 1)]
         return vals
+
+
+def character_table(q):
+    """chi at every residue 0..q-1 for every character mod the odd prime q,
+    as a (q-1) x q complex array: row a is DirichletCharacter(q, a).value_array(),
+    bit for bit, since it gathers the same unit_roots(q - 1) entries."""
+    _check_odd_prime(q)
+    dlog = discrete_log_table(q)
+    table = np.zeros((q - 1, q), dtype=np.complex128)
+    table[:, 1:] = unit_roots(q - 1)[np.multiply.outer(np.arange(q - 1), dlog[1:]) % (q - 1)]
+    return table
 
 
 def enumerate_characters(q):

@@ -5,9 +5,10 @@ domain error, 3 computational error (budget, overflow, non-convergence).
 Machine output goes to stdout, diagnostics to stderr.  Identical argv,
 config and seed produce byte-identical stdout.  The results of sum,
 optimize, bessel and integral are cached under a content hash of
-(subcommand, normalized flags, package version and a digest of the
-package's sources) unless --no-cache is given, so a code change never
-serves an older result; verify is never cached and has no --no-cache.
+(subcommand, normalized flags, package version, a digest of the package's
+sources, and the numpy and Python versions) unless --no-cache is given, so
+a code change or an upgrade never serves an older result; verify is never
+cached and has no --no-cache.
 
 Config file: plain ``key = value`` lines for cache_dir and
 default_tolerance_scale.  CLI flags override file values, and the
@@ -37,6 +38,8 @@ import json
 import os
 import sys
 import tempfile
+
+import numpy as np
 
 from . import __version__
 from .characters import DirichletCharacter, gauss_sum
@@ -320,6 +323,8 @@ def _cache_key(args):
     material = {k: v for k, v in sorted(vars(args).items()) if k not in _CACHE_SKIP_KEYS}
     material["_version"] = __version__
     material["_source"] = _source_digest()
+    material["_numpy"] = np.__version__  # a new numpy may change the last bits of a sum
+    material["_python"] = sys.version
     blob = json.dumps(material, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 

@@ -9,7 +9,9 @@ Conventions shared by every sum here:
   numpy's pairwise ndarray.sum, and _kloosterman_row (the two
   Kloosterman rows under c4_correlation) uses np.sum, also pairwise, for
   each y; c4_correlation's own sum over a is an fsum.  psi_average_raw
-  fsums each character's row and adds the rows (+=) in character order;
+  fsums each character's row and adds the rows (+=) in character order,
+  and psi_average_closed multiplies (p-1) * S * (e(w) - e(-w)) as Python
+  complex numbers, in that order;
 * the raw sums take their roots of unity from the per-modulus tables
   unit_roots(c), which evaluate np.exp(2*pi*i*j/c) without reducing j/c;
   the closed forms evaluate theirs through RationalAngle, from the reduced
@@ -20,13 +22,18 @@ Conventions shared by every sum here:
   form, and the verification suites compare the two - the closed form is
   never trusted alone.
 
-The raw sums share one array-level layer: a gather builds a summand
-matrix with one row per parameter tuple (kloosterman_terms,
-voronoi_char_sums_raw), and fsum_rows reduces each row.  The scalar
-functions are that layer with a single row.  Sweeps may locate their
-worst case with numpy row sums (ndarray.sum, pairwise order), but those
-sums only pick candidates: every number that is reported still comes
-from the scalar function, with the reduction stated above.
+The sums share one array-level layer: a gather builds a summand matrix
+with one row per parameter tuple (kloosterman_terms), and fsum_rows
+reduces each row.  The block kernels voronoi_char_sums_raw/_closed and
+psi_average_sums_raw/_closed evaluate one parameter group for many (r, n)
+or (r, m) at once, and the scalar functions are their one-entry calls, so
+a block entry has the scalar value's bits.  psi_average_sums_raw takes its
+odd characters from characters.character_table, which holds every
+character's value_array() of one modulus, bit for bit.  Sweeps may
+locate their worst case with numpy row sums (ndarray.sum, pairwise order)
+or numpy's abs, but those only pick candidates: every number that is
+reported still comes from the scalar function, with the reduction stated
+above.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from math import fsum, gcd
 
 import numpy as np
 
-from .characters import enumerate_characters, unit_roots
+from .characters import character_table, unit_roots
 from .errors import (
     BudgetExceeded,
     InvalidValue,
@@ -56,6 +63,7 @@ from .numcore import (
     factorize,
     is_prime,
     mod_inv,
+    table_memo,
 )
 
 UNIT_EPS = 2e-15  # per-summand error bound for a tabulated unit-modulus value
@@ -132,9 +140,10 @@ def _pow_mod(base, e, c):
     return result
 
 
-@functools.lru_cache(maxsize=256)
+@table_memo
 def units_and_inverses(c):
-    """(units mod c ascending, their inverses), cached per modulus.
+    """(units mod c ascending, their inverses), memoised per modulus up to
+    numcore.MEMO_MAX_ENTRIES.
 
     Units come from sieving out the prime factors of c, and the inverse
     table from one vectorised pass x**(phi(c) - 1) mod c.  For c = 1 the
@@ -240,6 +249,16 @@ def d_sum(u, M, chi):
     return ExpSumValue(fsum_rows(terms[None])[0], M - 2, 2 * UNIT_EPS * (M - 2))
 
 
+def _check_psi_average(pairs, c, p, M):
+    if min([c, *map(min, pairs)]) < 1:
+        raise InvalidValue("r, m, c must be positive")
+    for q in (p, M):
+        if q % 2 == 0 or not is_prime(q):
+            raise NotPrime(f"{q} is not an odd prime")
+    if p == M:
+        raise ParameterInconsistency("p and M must be distinct primes")
+
+
 @dataclass(frozen=True)
 class PsiAverageParams:
     """Parameters of the odd-character average of twisted Kloosterman sums."""
@@ -251,65 +270,94 @@ class PsiAverageParams:
     M: int
 
     def __post_init__(self):
-        if min(self.r, self.m, self.c) < 1:
-            raise InvalidValue("r, m, c must be positive")
-        for q in (self.p, self.M):
-            if q % 2 == 0 or not is_prime(q):
-                raise NotPrime(f"{q} is not an odd prime")
-        if self.p == self.M:
-            raise ParameterInconsistency("p and M must be distinct primes")
+        _check_psi_average(((self.r, self.m),), self.c, self.p, self.M)
 
 
 @functools.lru_cache(maxsize=64)
 def _odd_character_table(p):
-    """psi(x) for x = 0..p-1, one row per odd character mod p, by index."""
-    table = np.array([psi.value_array() for psi in enumerate_characters(p) if psi.parity() == -1])
+    """psi(x) for x = 0..p-1, one row per odd character mod p, by index
+    (the odd indices, since psi(-1) = (-1)**index)."""
+    table = character_table(p)[1::2].copy()
     table.setflags(write=False)
     return table
 
 
-def psi_average_raw(params):
-    """sum over psi mod p of (1 - psi(-1)) S_psi(r, m; cpM), directly.
+def psi_average_sums_raw(pairs, c, p, M):
+    """psi_average_raw at every (r, m) of pairs, at one (c, p, M): a list
+    of ExpSumValue in the order of pairs.
 
-    One characters x units matrix holds the summands of every odd
-    character (the even ones carry weight 0); its rows are reduced with
-    fsum and accumulated in character order.
+    The summands of every pair are one kloosterman_terms gather.  Each pair
+    is then reduced on its own: one characters x units block holds the
+    twisted summands of every odd character (the even ones carry weight 0),
+    and its rows are reduced with fsum and added (+=) in character order, so
+    tolist() never holds more than one pair's block.
     """
-    p = params.p
-    c_total = params.c * p * params.M
-    summands = kloosterman_terms((params.r,), (params.m,), c_total)
+    _check_psi_average(pairs, c, p, M)
+    c_total = c * p * M
+    summands = kloosterman_terms([r for r, _ in pairs], [m for _, m in pairs], c_total)
     xs, _ = units_and_inverses(c_total)
-    values = fsum_rows(_odd_character_table(p)[:, xs % p] * summands)
+    psi = _odd_character_table(p)[:, xs % p]
     row_est = 2 * UNIT_EPS * xs.size  # twisted_kloosterman's bound for one character
-    check_rows(values, xs.size, row_est)
-    total = 0j
-    est = 0.0
-    for value in values:
-        total += 2 * value
-        est += 2 * row_est
     count = (p - 1) * xs.size
-    return ExpSumValue(total, count, est + UNIT_EPS * count)
+    blocks = [fsum_rows(psi * row) for row in summands]
+    check_rows(blocks, xs.size, row_est)
+    values = []
+    for rows in blocks:
+        total, est = 0j, 0.0
+        for value in rows:
+            total += 2 * value
+            est += 2 * row_est
+        values.append(ExpSumValue(total, count, est + UNIT_EPS * count))
+    return values
+
+
+def psi_average_sums_closed(pairs, c, p, M):
+    """psi_average_closed at every (r, m) of pairs, at one (c, p, M): a list
+    of ExpSumValue in the order of pairs.
+
+    The sums S(pbar r, pbar m; cM) of every pair are one kloosterman_terms
+    gather reduced by fsum_rows; each value is then the Python-complex
+    product (p-1) * S * (e(w) - e(-w)).
+    """
+    _check_psi_average(pairs, c, p, M)
+    cM = c * M
+    if gcd(p, cM) != 1:
+        raise SharedFactor(f"gcd(p, cM) = {gcd(p, cM)} > 1")
+    pbar = mod_inv(p, cM)
+    terms = kloosterman_terms([pbar * r for r, _ in pairs], [pbar * m for _, m in pairs], cM)
+    sums = fsum_rows(terms)
+    s_est = UNIT_EPS * terms.shape[1]  # kloosterman's bound
+    check_rows(sums, terms.shape[1], s_est)
+    cm_bar = mod_inv(cM, p)
+    count = (p - 1) * euler_phi(c * p * M)
+    brackets = {}  # e(w) - e(-w), which depends on (r + m) mod p only
+    values = []
+    for (r, m), s in zip(pairs, sums):
+        k = (r + m) % p
+        if k not in brackets:
+            w = RationalAngle(cm_bar * k, p)
+            brackets[k] = w.to_complex() - (-w).to_complex()
+        est = (p - 1) * 2 * (s_est + UNIT_EPS * abs(s))
+        values.append(ExpSumValue((p - 1) * s * brackets[k], count, min(est, 1e-12 * count)))
+    return values
+
+
+def psi_average_raw(params):
+    """sum over psi mod p of (1 - psi(-1)) S_psi(r, m; cpM), directly: the
+    one entry of psi_average_sums_raw."""
+    return psi_average_sums_raw(((params.r, params.m),), params.c, params.p, params.M)[0]
 
 
 def psi_average_closed(params):
-    """Exact orthogonality evaluation of psi_average_raw.
+    """Exact orthogonality evaluation of psi_average_raw: the one entry of
+    psi_average_sums_closed.
 
     Equals (p-1) S(pbar r, pbar m; cM) (e(w) - e(-w)) with pbar = p^-1 mod
     cM and w = ((cM)^-1 mod p)(r + m)/p.  The count in front is exactly
     p - 1 and the two sign terms enter as a difference; both follow from
     summing psi over the full character group mod p.
     """
-    cM = params.c * params.M
-    if gcd(params.p, cM) != 1:
-        raise SharedFactor(f"gcd(p, cM) = {gcd(params.p, cM)} > 1")
-    pbar = mod_inv(params.p, cM)
-    s = kloosterman(pbar * params.r, pbar * params.m, cM)
-    w = RationalAngle(mod_inv(cM, params.p) * (params.r + params.m), params.p)
-    bracket = w.to_complex() - (-w).to_complex()
-    value = (params.p - 1) * s.value * bracket
-    terms = (params.p - 1) * euler_phi(params.c * params.p * params.M)
-    est = (params.p - 1) * 2 * (s.est_error + UNIT_EPS * abs(s.value))
-    return ExpSumValue(value, terms, min(est, 1e-12 * terms))
+    return psi_average_sums_closed(((params.r, params.m),), params.c, params.p, params.M)[0]
 
 
 def _c3_context(v, M, chi):

@@ -4,10 +4,12 @@ Everything in this module is exact.  Modular work uses Python integers but
 rejects moduli above 2**31, so any product of two moduli stays below 2**62
 and the same numbers are reproducible in fixed-width reimplementations.
 Elements of Q/Z are stored as reduced fractions with bounded denominator.
+It also holds the package's memo for per-modulus tables, table_memo.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -18,6 +20,23 @@ MAX_FACTOR_INPUT = 1 << 40
 MAX_DENOMINATOR = 1 << 62
 
 TAU = 2.0 * math.pi
+
+MEMO_MAX_ENTRIES = 1 << 20  # a table of more entries (16 MB of complex) is not memoised
+
+
+def table_memo(fn):
+    """Memoise fn(n), a table of at most n entries: the 256 most recently
+    used tables with n <= MEMO_MAX_ENTRIES.  A larger table is built on
+    every call and freed with its last use, so a few sums near the budget
+    do not pin hundreds of megabytes for the life of the process."""
+    memo = functools.lru_cache(maxsize=256)(fn)
+
+    @functools.wraps(fn)
+    def table(n):
+        return memo(n) if n <= MEMO_MAX_ENTRIES else fn(n)
+
+    table.cache_info, table.cache_clear = memo.cache_info, memo.cache_clear
+    return table
 
 
 def check_modulus(m):

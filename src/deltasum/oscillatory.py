@@ -306,11 +306,16 @@ class IntegralParams:
         values = (self.N, self.n, self.p, self.ell, self.c, self.M, self.m)
         if not all(0 < v < math.inf for v in values):  # no float(): ints may be huge
             raise InvalidValue("all parameters must be finite and positive")
+        # The integral forms n*ell, N*ell and N*n.  An int product that no
+        # float holds would raise OverflowError there; a float product that
+        # overflows is inf, which the quadrature reports as a panel-limit
+        # failure (exit 3).
         try:
-            for v in values:
+            for v in values + (self.n * self.ell, self.N * self.ell, self.N * self.n):
                 float(v)
         except OverflowError:
-            raise InvalidValue("every parameter must fit in a float (at most 1.8e308)") from None
+            raise InvalidValue("every parameter, and the products n*ell, N*ell and N*n, "
+                               "must fit in a float (at most 1.8e308)") from None
         if self.k < 7 or self.k % 4 != 3:
             raise InvalidValue("the weight k must be >= 7 with k = 3 mod 4")
 

@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import expsums
-from .characters import DirichletCharacter, enumerate_characters, gauss_sum, unit_roots
+from .characters import DirichletCharacter, character_table, gauss_sum, unit_roots
 from .errors import InvalidValue
 from .exponent import minimize_max, paper_bound_problem, staged_elimination
 from .expsums import (
@@ -48,6 +48,8 @@ from .expsums import (
     kloosterman_terms,
     psi_average_closed,
     psi_average_raw,
+    psi_average_sums_closed,
+    psi_average_sums_raw,
     twisted_split_check,
     units_and_inverses,
     voronoi_char_sum_closed,
@@ -123,19 +125,33 @@ def psi_average_case(r, m, c, p, M, tolerance_scale=1.0):
 
 
 def suite_psi_average(grid=None, tolerance_scale=1.0):
+    """Raw = closed for the psi-average, one (p, M, c) block of (r, m)
+    cases at a time."""
     sweep = _Sweep()
     grid = grid or {"p": [3, 5, 7], "M": [11, 13], "c_max": 6, "r_max": 10, "m_max": 10}
+    pairs = [(r, m) for r in range(1, grid["r_max"] + 1) for m in range(1, grid["m_max"] + 1)]
     skipped = 0
+
+    def case(*witness):
+        return psi_average_case(*witness, tolerance_scale=tolerance_scale)
+
     for p in grid["p"]:
         for M in grid["M"]:
             for c in range(1, grid["c_max"] + 1):
                 if math.gcd(p, c * M) != 1:
-                    skipped += grid["r_max"] * grid["m_max"]
+                    skipped += len(pairs)
                     continue
-                for r in range(1, grid["r_max"] + 1):
-                    for m in range(1, grid["m_max"] + 1):
-                        sweep.add((r, m, c, p, M),
-                                  psi_average_case(r, m, c, p, M, tolerance_scale))
+                raw = psi_average_sums_raw(pairs, c, p, M)
+                closed = psi_average_sums_closed(pairs, c, p, M)
+                lhs = np.array([v.value for v in raw], dtype=np.complex128)
+                rhs = np.array([v.value for v in closed], dtype=np.complex128)
+                terms = np.array([a.terms + b.terms for a, b in zip(raw, closed)])
+                tol = identity_tolerance(terms, np.abs(lhs), np.abs(rhs), tolerance_scale)
+                devs = np.abs(lhs - rhs) / tol
+                # The values are psi_average_case's bit for bit; only np.abs may
+                # differ from Python's abs, by an ulp, which 1e-9 * dev covers.
+                sweep.offer(devs, 1e-9 * devs,
+                            lambda i, c=c, p=p, M=M: (*pairs[i], c, p, M), case)
     return sweep.report("psi-average", dict(grid, skipped=skipped))
 
 
@@ -451,19 +467,15 @@ def _dsum_rows(M):
     """|D(u; M)| for all chi (rows) and u (columns) at once via an inverse DFT.
 
     D(u) = sum_t f[t] e(tu/M) with f[(b^-1 - 1) mod M] = conj(chi)(b - 1),
-    so the row of values over u is M * ifft(f).  This only locates the
-    maximum; the reported witness is re-evaluated through d_sum itself.
+    so the row of values over u is M * ifft(f): one character table and
+    one 2-D transform along the rows.  This only locates the maximum; the
+    reported witness is re-evaluated through d_sum itself.
     """
     _, inv = units_and_inverses(M)
     bs = np.arange(2, M)
-    t_idx = (inv[bs - 1] - 1) % M
-    rows = np.zeros((M - 2, M), dtype=np.complex128)
-    chis = enumerate_characters(M)
-    for row, chi in enumerate(chis[1:]):
-        f = np.zeros(M, dtype=np.complex128)
-        f[t_idx] = np.conj(chi.value_array())[bs - 1]
-        rows[row] = np.fft.ifft(f) * M
-    return np.abs(rows)
+    f = np.zeros((M - 2, M), dtype=np.complex128)
+    f[:, (inv[bs - 1] - 1) % M] = np.conj(character_table(M)[1:, bs - 1])
+    return np.abs(np.fft.ifft(f, axis=1) * M)
 
 
 DSUM_CEILING = 4.0  # the pass ceiling of |D(u; M)| / sqrt(M)

@@ -5,6 +5,7 @@ import pytest
 
 from deltasum.characters import (
     DirichletCharacter,
+    character_table,
     enumerate_characters,
     gauss_sum,
     primitive_root,
@@ -142,3 +143,13 @@ def test_concurrent_discrete_log_construction():
     with ThreadPoolExecutor(max_workers=8) as pool:
         values = list(pool.map(probe, range(32)))
     assert all(v == values[0] for v in values)
+
+
+def test_character_table_rows_are_value_arrays_bit_for_bit():
+    for q in primes_between(3, 100):
+        table = character_table(q)
+        assert table.shape == (q - 1, q)
+        for a in range(q - 1):
+            assert table[a].tobytes() == DirichletCharacter(q, a).value_array().tobytes(), (q, a)
+    with pytest.raises(NotPrime):
+        character_table(9)

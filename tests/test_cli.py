@@ -232,6 +232,7 @@ def test_domain_error_exits_2(capsys):
     ("integral", "--preset", "toy", "--theta", "1e308"),  # M**(-4 theta) underflows to 0
     ("integral", "--preset", "toy", "--M", "9" * 310),  # no float holds it
     ("integral", "--preset", "toy", "--n", "1" + "0" * 309),
+    ("integral", "--preset", "toy", "--n", "1" + "0" * 308),  # n fits, n * ell does not
 ])
 def test_invalid_value_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv, "--no-cache")
@@ -446,6 +447,19 @@ def test_cache_key_covers_source_digest(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_source_digest", lambda: "0" * 64)
     assert run(capsys, *args)[1] == fresh
     assert len([f for f in os.listdir(cache_dir) if f.endswith(".json")]) == 2
+
+
+def test_cache_key_covers_numpy_and_python_versions(monkeypatch):
+    from deltasum import cli
+
+    args = cli.build_parser().parse_args(["sum", "kloosterman", "--m", "2", "--n", "3",
+                                          "--c", "11", "--json"])
+    key = cli._cache_key(args)
+    for module, name in ((cli.np, "__version__"), (cli.sys, "version")):
+        monkeypatch.setattr(module, name, getattr(module, name) + "+upgraded")
+        assert cli._cache_key(args) != key, name
+        monkeypatch.undo()
+        assert cli._cache_key(args) == key
 
 
 def test_config_file(capsys, tmp_path, monkeypatch):

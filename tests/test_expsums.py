@@ -1,11 +1,13 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from deltasum.characters import DirichletCharacter, enumerate_characters
 from deltasum.errors import (
     BudgetExceeded,
+    InvalidValue,
     ModulusMismatch,
     NotUnit,
     ParameterInconsistency,
@@ -13,23 +15,29 @@ from deltasum.errors import (
     SharedFactor,
 )
 from deltasum.expsums import (
+    UNIT_EPS,
     ExpSumValue,
     PsiAverageParams,
     c3_closed,
     c3_raw,
     c4_correlation,
     d_sum,
+    fsum_rows,
     identity_tolerance,
     kloosterman,
+    kloosterman_terms,
     psi_average_closed,
     psi_average_raw,
+    psi_average_sums_closed,
+    psi_average_sums_raw,
     ramanujan_sum,
     twisted_kloosterman,
     twisted_split_check,
+    units_and_inverses,
     voronoi_char_sum_closed,
     voronoi_char_sum_raw,
 )
-from deltasum.numcore import arithmetic_functions, divisor_count
+from deltasum.numcore import RationalAngle, arithmetic_functions, divisor_count
 from deltasum.scan import Lcg
 
 
@@ -268,6 +276,62 @@ def test_psi_average_zero_bracket():
     assert closed.value == 0j
     raw = psi_average_raw(params)
     assert abs(raw.value) <= identity_tolerance(raw.terms, abs(raw.value), 0.0)
+
+
+def _psi_average_scalar_reference(params):
+    """psi_average_raw and psi_average_closed as they were before the block
+    kernels, one (r, m) at a time; the wrappers must give their bits."""
+    p, cM = params.p, params.c * params.M
+    c_total = cM * p
+    summands = kloosterman_terms((params.r,), (params.m,), c_total)
+    xs, _ = units_and_inverses(c_total)
+    table = np.array([psi.value_array() for psi in enumerate_characters(p) if psi.parity() == -1])
+    values = fsum_rows(table[:, xs % p] * summands)
+    row_est = 2 * UNIT_EPS * xs.size
+    total, est = 0j, 0.0
+    for value in values:
+        total += 2 * value
+        est += 2 * row_est
+    count = (p - 1) * xs.size
+    raw = ExpSumValue(total, count, est + UNIT_EPS * count)
+    if math.gcd(p, cM) != 1:
+        return raw, None
+    pbar = pow(p, -1, cM) if cM > 1 else 0
+    s = kloosterman(pbar * params.r, pbar * params.m, cM)
+    w = RationalAngle(pow(cM, -1, p) * (params.r + params.m), p)
+    value = (p - 1) * s.value * (w.to_complex() - (-w).to_complex())
+    est = (p - 1) * 2 * (s.est_error + UNIT_EPS * abs(s.value))
+    return raw, ExpSumValue(value, count, min(est, 1e-12 * count))
+
+
+def _bits(v):
+    return None if v is None else (v.value.real.hex(), v.value.imag.hex(), v.terms,
+                                   v.est_error.hex())
+
+
+def test_psi_average_wrappers_equal_scalar_reference():
+    for p, M in ((3, 5), (5, 7), (7, 13), (11, 3)):
+        for c in range(1, 8):
+            for r, m in ((1, 1), (2, 9), (5, 3), (10, 10)):
+                params = PsiAverageParams(r, m, c, p, M)
+                raw, closed = _psi_average_scalar_reference(params)
+                assert _bits(psi_average_raw(params)) == _bits(raw), params
+                if closed is not None:
+                    assert _bits(psi_average_closed(params)) == _bits(closed), params
+
+
+def test_psi_average_blocks_equal_their_entries():
+    pairs = [(r, m) for r in range(1, 5) for m in (1, 2, 7)]
+    raw = psi_average_sums_raw(pairs, 4, 5, 3)
+    closed = psi_average_sums_closed(pairs, 4, 5, 3)
+    for (r, m), lhs, rhs in zip(pairs, raw, closed, strict=True):
+        params = PsiAverageParams(r, m, 4, 5, 3)
+        assert _bits(lhs) == _bits(psi_average_raw(params))
+        assert _bits(rhs) == _bits(psi_average_closed(params))
+    with pytest.raises(InvalidValue):
+        psi_average_sums_raw([(1, 1), (0, 2)], 4, 5, 3)
+    with pytest.raises(SharedFactor):
+        psi_average_sums_closed(pairs, 5, 5, 3)
 
 
 def test_psi_average_closed_requires_coprimality():

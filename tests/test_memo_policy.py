@@ -1,12 +1,20 @@
 """One memo policy: a memo in the package is a bounded lru_cache.  An
 unbounded memo (functools.cache, or lru_cache(maxsize=None)) on a function
 that takes arguments grows for the life of the process; one on a function
-without arguments holds a single value and is allowed."""
+without arguments holds a single value and is allowed.  The per-modulus
+tables are bounded in bytes too: numcore.table_memo memoises none above
+MEMO_MAX_ENTRIES entries."""
 
 import ast
+import gc
 import pathlib
 
+import numpy as np
 import pytest
+
+from deltasum.characters import discrete_log_table, unit_roots
+from deltasum.expsums import kloosterman, units_and_inverses
+from deltasum.numcore import MEMO_MAX_ENTRIES
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "deltasum"
 
@@ -66,3 +74,44 @@ def test_memo_check_sees_every_unbounded_form():
         "g = functools.lru_cache(maxsize=8)(len)\n")
     assert list(_unbounded_memos(tree)) == [
         "a", "b", "c", "d", "functools.lru_cache(maxsize=None)(len)", "cache(len)"]
+
+
+# The per-modulus tables go through numcore.table_memo, which keeps only
+# tables of at most MEMO_MAX_ENTRIES entries.
+
+def _held_bytes(table):
+    """Bytes of the arrays a table_memo holds, read off the gc referents of
+    its lru_cache (each result is an array or a tuple of arrays)."""
+    (memo,) = [cell.cell_contents for cell in table.__closure__
+               if hasattr(cell.cell_contents, "cache_info")]
+    held = 0
+    for obj in gc.get_referents(memo):
+        for item in obj if isinstance(obj, tuple) else (obj,):
+            if isinstance(item, np.ndarray):
+                held += item.nbytes
+    return held
+
+
+@pytest.mark.parametrize("table", [unit_roots, units_and_inverses, discrete_log_table])
+def test_table_memo_keeps_small_tables_only(table):
+    table.cache_clear()
+    assert table(1009) is table(1009)
+    if table is not discrete_log_table:  # character moduli stay below 10**6 < 2**20
+        n = MEMO_MAX_ENTRIES + 1
+        built = table(n)
+        assert table(n) is not built
+        assert table.cache_info().currsize == 1
+
+
+def test_large_sums_leave_the_table_memos_small():
+    tables = (unit_roots, units_and_inverses)
+    for table in tables:
+        table.cache_clear()
+    kloosterman(1, 1, 1009)
+    small = 16 * 1009 + 2 * 8 * 1008  # the roots mod 1009, and its units and inverses
+    assert sum(map(_held_bytes, tables)) == small
+    # moduli near 10**7 with few units, so that each sum takes about a second;
+    # without the size limit they leave about 557 MB of tables in the two memos
+    for c in (9699690, 9729720, 9999990):
+        kloosterman(1, 1, c)
+    assert sum(map(_held_bytes, tables)) == small

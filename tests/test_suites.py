@@ -6,12 +6,15 @@ import math
 import numpy as np
 import pytest
 
+from deltasum.characters import enumerate_characters
 from deltasum.errors import InvalidValue
-from deltasum.expsums import voronoi_char_sum_closed
+from deltasum.expsums import units_and_inverses, voronoi_char_sum_closed
+from deltasum.numcore import primes_between
 from deltasum.scan import Lcg, ScanReport, append_ledger
 from deltasum.suites import (
     SMOKE_OVERRIDES,
     SUITES,
+    _dsum_rows,
     _Sweep,
     bessel_decay_case,
     c1_case,
@@ -260,3 +263,40 @@ def test_voronoi_sweep_matches_case_by_case_reference():
     report = run_suite("voronoi-char", grid=grid)
     assert (report.max_deviation, tuple(report.worst_witness)) == (worst, witness)
     assert (report.cases, report.grid["vanishing_cases"]) == (cases, vanishing)
+
+
+@pytest.mark.parametrize("grid, skips", [
+    (SMOKE_OVERRIDES["psi-average"]["grid"], 0),
+    ({"p": [3, 5], "M": [7], "c_max": 4, "r_max": 4, "m_max": 3}, 12),  # c = 3 at p = 3
+])
+def test_psi_average_sweep_matches_case_by_case_reference(grid, skips):
+    worst, witness, cases, skipped = 0.0, None, 0, 0
+    for p in grid["p"]:
+        for M in grid["M"]:
+            for c in range(1, grid["c_max"] + 1):
+                if math.gcd(p, c * M) != 1:
+                    skipped += grid["r_max"] * grid["m_max"]
+                    continue
+                for r in range(1, grid["r_max"] + 1):
+                    for m in range(1, grid["m_max"] + 1):
+                        dev = psi_average_case(r, m, c, p, M)
+                        cases += 1
+                        if witness is None or dev > worst:
+                            worst, witness = dev, (r, m, c, p, M)
+    report = run_suite("psi-average", grid=grid)
+    assert (report.max_deviation, tuple(report.worst_witness)) == (worst, witness)
+    assert (report.cases, report.grid["skipped"]) == (cases, skipped)
+    assert skipped == skips
+
+
+def test_dsum_rows_match_one_transform_per_character():
+    for M in primes_between(3, 61):
+        _, inv = units_and_inverses(M)
+        bs = np.arange(2, M)
+        t_idx = (inv[bs - 1] - 1) % M
+        rows = np.zeros((M - 2, M), dtype=np.complex128)
+        for row, chi in enumerate(enumerate_characters(M)[1:]):
+            f = np.zeros(M, dtype=np.complex128)
+            f[t_idx] = np.conj(chi.value_array())[bs - 1]
+            rows[row] = np.fft.ifft(f) * M
+        assert _dsum_rows(M).tobytes() == np.abs(rows).tobytes(), M
