@@ -24,16 +24,16 @@ Conventions shared by every sum here:
 
 The sums share one array-level layer: a gather builds a summand matrix
 with one row per parameter tuple (kloosterman_terms), and fsum_rows
-reduces each row.  The block kernels voronoi_char_sums_raw/_closed and
-psi_average_sums_raw/_closed evaluate one parameter group for many (r, n)
-or (r, m) at once, and the scalar functions are their one-entry calls, so
-a block entry has the scalar value's bits.  psi_average_sums_raw takes its
-odd characters from characters.character_table, which holds every
-character's value_array() of one modulus, bit for bit.  Sweeps may
-locate their worst case with numpy row sums (ndarray.sum, pairwise order)
-or numpy's abs, but those only pick candidates: every number that is
-reported still comes from the scalar function, with the reduction stated
-above.
+reduces each row.  The block kernels evaluate one parameter group at
+once: voronoi_char_sums_raw/_closed one (m, m', c, d) for many (r, ell, M)
+rows and n, psi_average_sums_raw/_closed one (c, p, M) for many (r, m).
+The scalar functions are their one-entry calls, so a block entry has the
+scalar value's bits.  psi_average_sums_raw takes its odd characters from
+characters.character_table, which holds every character's value_array()
+of one modulus, bit for bit.  Sweeps may locate their worst case with
+numpy row sums (ndarray.sum, pairwise order), but those only pick
+candidates: every number that is reported still comes from the scalar
+function, with the reduction stated above.
 """
 
 from __future__ import annotations
@@ -448,39 +448,42 @@ def c4_correlation(c2, q2_tilde, p, p_prime, q1, m_dprime, M, h, n,
     return ExpSumValue(value, count, 4 * UNIT_EPS * count)
 
 
-def _voronoi_setup(ns, rs, m, m_prime, c, d, ell, M):
-    """Validate one (m, m', c, d, ell, M) group for every n in ns and r in rs."""
-    if min(min(ns), min(rs), m, m_prime, c, d, ell, M) < 1:
+def _voronoi_setup(ns, rows, m, m_prime, c, d):
+    """Validate one (m, m', c, d) group for every n in ns and every
+    (r, ell, M) in rows, each distinct (ell, M) once; returns (c/d, c1)."""
+    if min(min(ns), *[min(row) for row in rows], m, m_prime, c, d) < 1:
         raise ParameterInconsistency("all parameters must be positive")
     if c % d != 0:
         raise ParameterInconsistency(f"d = {d} does not divide c = {c}")
     if (m * c) % m_prime != 0:
         raise ParameterInconsistency(f"m' = {m_prime} does not divide m*c = {m * c}")
-    if not is_prime(ell):
-        raise ParameterInconsistency(f"ell = {ell} is not prime")
-    if M % 2 == 0 or not is_prime(M) or gcd(M, c) != 1:
-        raise ParameterInconsistency("M must be an odd prime coprime to c")
     cc = c // d
     c1 = gcd(m_prime, cc)
-    if c1 % ell == 0:
-        raise ParameterInconsistency("the generic case requires ell not dividing c1")
+    for ell, M in dict.fromkeys((ell, M) for _, ell, M in rows):
+        if not is_prime(ell):
+            raise ParameterInconsistency(f"ell = {ell} is not prime")
+        if M % 2 == 0 or not is_prime(M) or gcd(M, c) != 1:
+            raise ParameterInconsistency("M must be an odd prime coprime to c")
+        if c1 % ell == 0:
+            raise ParameterInconsistency("the generic case requires ell not dividing c1")
     return cc, c1
 
 
-def voronoi_char_sums_raw(ns, rs, m, m_prime, c, d, ell, M):
-    """The raw beta-sums of one (m, m', c, d, ell, M) group, every (r, n) at once.
+def voronoi_char_sums_raw(ns, rows, m, m_prime, c, d):
+    """The raw beta-sums of one (m, m', c, d) group, every (r, ell, M) of
+    rows and every n of ns at once.
 
-    Returns (values, counts): values[i, j] is the sum at r = rs[i],
-    n = ns[j], and counts[i] the number of units beta kept for rs[i].  The
-    summands e(beta^-1 n / (m*c/m')) of every unit and every n form one
-    gather, with the units grouped by the class of beta*m' mod c/d.  The
-    congruence for r keeps exactly one class, a block of columns, whose
-    rows are reduced with fsum; fsum is order-free, so regrouping the units
-    leaves every value bit for bit as in ascending order.
+    Returns (values, counts): values[i, j] is the sum at rows[i] = (r, ell,
+    M) and n = ns[j], and counts[i] the number of units beta kept for
+    rows[i].  The summands e(beta^-1 n / (m*c/m')) of every unit and every
+    n form one gather, with the units grouped by the class of beta*m' mod
+    c/d.  The congruence for (r, ell, M) keeps exactly one class, a block of
+    columns, whose rows are reduced with fsum once per class, whichever
+    rows share it; fsum is order-free, so regrouping the units leaves every
+    value bit for bit as in ascending order.
     """
-    _voronoi_setup(ns, rs, m, m_prime, c, d, ell, M)
+    cc, _ = _voronoi_setup(ns, rows, m, m_prime, c, d)
     modulus = m * c // m_prime
-    cc = c // d
     _check_budget(modulus, DEFAULT_BUDGET)
     xs, inv = units_and_inverses(modulus)
     classes = (xs * (m_prime % cc)) % cc
@@ -488,29 +491,30 @@ def voronoi_char_sums_raw(ns, rs, m, m_prime, c, d, ell, M):
     bounds = np.searchsorted(classes[order], np.arange(cc + 1)).tolist()
     n_col = np.array([n % modulus for n in ns], dtype=np.int64)[:, None]
     summands = unit_roots(modulus)[(inv[order] * n_col) % modulus]
-    m_bar = mod_inv(M, cc)
+    m_bars = {M: mod_inv(M, cc) for M in {M for _, _, M in rows}}
     by_class = {}
     values, counts = [], []
-    for r in rs:
-        j = (-r * ell * m_bar) % cc
+    for r, ell, M in rows:
+        j = (-r * ell * m_bars[M]) % cc
         lo, hi = bounds[j], bounds[j + 1]
         if j not in by_class:
             by_class[j] = fsum_rows(summands[:, lo:hi])
         values.append(by_class[j])
         counts.append(hi - lo)
-    values = np.array(values, dtype=np.complex128).reshape(len(rs), len(ns))
+    values = np.array(values, dtype=np.complex128).reshape(len(rows), len(ns))
     counts = np.array(counts, dtype=np.int64)
     check_rows(values, counts[:, None], UNIT_EPS * np.maximum(counts, 1)[:, None])
     return values, counts
 
 
 def voronoi_char_sum_raw(n, m, m_prime, c, d, r, ell, M):
-    """The beta-sum produced by Voronoi summation, by direct enumeration.
+    """The beta-sum produced by Voronoi summation, by direct enumeration:
+    the one entry of voronoi_char_sums_raw.
 
     sum over units beta mod m*c/m' subject to r*ell*M^-1 + beta*m' = 0
     mod c/d, of e(beta^-1 n / (m*c/m')).
     """
-    values, counts = voronoi_char_sums_raw((n,), (r,), m, m_prime, c, d, ell, M)
+    values, counts = voronoi_char_sums_raw((n,), ((r, ell, M),), m, m_prime, c, d)
     k = int(counts[0])
     return ExpSumValue(values[0, 0], k, UNIT_EPS * max(k, 1))
 
@@ -526,9 +530,10 @@ def _c2_part(q, c2):
     return out
 
 
-def voronoi_char_sums_closed(ns, rs, m, m_prime, c, d, ell, M):
-    """Closed forms of the beta-sums of one group: values[i, j] at r = rs[i],
-    n = ns[j].  Every summand count is m*c/m'.
+def voronoi_char_sums_closed(ns, rows, m, m_prime, c, d):
+    """Closed forms of the beta-sums of one (m, m', c, d) group:
+    values[i, j] at rows[i] = (r, ell, M) and n = ns[j].  Every summand
+    count is m*c/m'.
 
     Each value is 0 off the divisibility strata, else
     q2 * c_{q1}(n) * e(-(r' ell)^-1 m'' M (n/q2) q1^-1 / c2).
@@ -538,10 +543,11 @@ def voronoi_char_sums_closed(ns, rs, m, m_prime, c, d, ell, M):
     Vanishes unless c1 | r and q2 | n (and unless the congruence is
     solvable at all, which needs gcd(r' ell, c2) = 1).  All inverses in
     the phase are taken mod c2; this is the exact CRT evaluation of the
-    raw sum.  The Ramanujan factors and the roots e(j/c2) depend on n or
-    on the group only, so they are computed once per group.
+    raw sum.  Only the phase g0 depends on the row: c2, q1, q2, the
+    Ramanujan factors and the roots e(j/c2) are computed once per group,
+    and each row of values once per g0.
     """
-    cc, c1 = _voronoi_setup(ns, rs, m, m_prime, c, d, ell, M)
+    cc, c1 = _voronoi_setup(ns, rows, m, m_prime, c, d)
     c2 = cc // c1
     m_dp = m_prime // c1
     if (m * d) % m_dp != 0:
@@ -552,22 +558,25 @@ def voronoi_char_sums_closed(ns, rs, m, m_prime, c, d, ell, M):
     ramanujan = {n: ramanujan_sum(q1, n) for n in ns if n % q2 == 0}
     roots = [RationalAngle(j, c2).to_complex() for j in range(c2)]
     q1_bar = mod_inv(q1, c2)
-    values = np.zeros((len(rs), len(ns)), dtype=np.complex128)
-    for i, r in enumerate(rs):
+    values = np.zeros((len(rows), len(ns)), dtype=np.complex128)
+    by_phase = {}
+    for i, (r, ell, M) in enumerate(rows):
         r_p = r // c1
         if r % c1 != 0 or (c2 > 1 and gcd(r_p * ell, c2) != 1):
             continue
         g0 = (-mod_inv(r_p * ell, c2) * m_dp * M) % c2 if c2 > 1 else 0
-        values[i] = [q2 * ramanujan[n] * roots[g0 * (n // q2) * q1_bar % c2]
-                     if n in ramanujan else 0j for n in ns]
+        if g0 not in by_phase:
+            by_phase[g0] = [q2 * ramanujan[n] * roots[g0 * (n // q2) * q1_bar % c2]
+                            if n in ramanujan else 0j for n in ns]
+        values[i] = by_phase[g0]
     terms = m * c // m_prime
     check_rows(values, terms, np.minimum(UNIT_EPS * np.abs(values), 1e-12 * terms))
     return values
 
 
 def voronoi_char_sum_closed(n, m, m_prime, c, d, r, ell, M):
-    """Closed form of the beta-sum; see voronoi_char_sums_closed."""
-    value = complex(voronoi_char_sums_closed((n,), (r,), m, m_prime, c, d, ell, M)[0, 0])
+    """Closed form of the beta-sum: the one entry of voronoi_char_sums_closed."""
+    value = complex(voronoi_char_sums_closed((n,), ((r, ell, M),), m, m_prime, c, d)[0, 0])
     terms = m * c // m_prime
     return ExpSumValue(value, terms, min(UNIT_EPS * abs(value), 1e-12 * terms))
 

@@ -432,6 +432,13 @@ def integral_value_and_error(params, window, tol=1e-12):
     freq = params.N * params.ell / cpm
     coeff = 4.0 * math.pi * math.sqrt(params.N * params.n) * params.ell / cpm
     const = params.n * params.ell / cpm
+    products = (("N*ell/(c*p*M)", freq), ("4*pi*sqrt(N*n)*ell/(c*p*M)", coeff),
+                ("n*ell/(c*p*M)", const))
+    for name, value in products:
+        if not math.isfinite(value):
+            raise QuadratureNonConvergence(
+                f"bisection needs more than {_MAX_PANELS} panels in one level (the initial "
+                f"grid): {name} overflowed to {value}")
     nu = params.k - 1
 
     def f(y):  # e(phase) * J * V, multiplied in that order

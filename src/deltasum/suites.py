@@ -117,6 +117,18 @@ def _deviation(lhs, rhs, tolerance_scale=1.0):
     return abs(lhs.value - rhs.value) / tol
 
 
+def _batched_deviations(lhs, rhs, terms, tolerance_scale):
+    """_deviation of every entry of two complex arrays of values, bit for
+    bit.  The magnitudes are np.hypot of the real and imaginary parts: both
+    it and Python's abs(complex) call libm's hypot, whereas np.abs may take
+    a SIMD kernel whose last bit differs."""
+    def magnitude(z):
+        return np.hypot(z.real, z.imag)
+
+    tol = identity_tolerance(terms, magnitude(lhs), magnitude(rhs), tolerance_scale)
+    return magnitude(lhs - rhs) / tol
+
+
 # ---------------------------------------------------------------- psi average
 
 def psi_average_case(r, m, c, p, M, tolerance_scale=1.0):
@@ -146,11 +158,8 @@ def suite_psi_average(grid=None, tolerance_scale=1.0):
                 lhs = np.array([v.value for v in raw], dtype=np.complex128)
                 rhs = np.array([v.value for v in closed], dtype=np.complex128)
                 terms = np.array([a.terms + b.terms for a, b in zip(raw, closed)])
-                tol = identity_tolerance(terms, np.abs(lhs), np.abs(rhs), tolerance_scale)
-                devs = np.abs(lhs - rhs) / tol
-                # The values are psi_average_case's bit for bit; only np.abs may
-                # differ from Python's abs, by an ulp, which 1e-9 * dev covers.
-                sweep.offer(devs, 1e-9 * devs,
+                devs = _batched_deviations(lhs, rhs, terms, tolerance_scale)
+                sweep.offer(devs, np.zeros_like(devs),
                             lambda i, c=c, p=p, M=M: (*pairs[i], c, p, M), case)
     return sweep.report("psi-average", dict(grid, skipped=skipped))
 
@@ -349,8 +358,8 @@ def voronoi_case(n, m, m_prime, c, d, r, ell, M, tolerance_scale=1.0):
 
 
 def suite_voronoi_char(grid=None, tolerance_scale=1.0):
-    """Raw = closed for the beta-sum, one (m, c, d, m', ell, M) group of
-    (r, n) cases at a time."""
+    """Raw = closed for the beta-sum, one (m, m', c, d) group of
+    (ell, M, r, n) cases at a time."""
     sweep = _Sweep()
     grid = grid or {"m_max": 3, "c_max": 12, "m_prime_max": 12,
                     "ell": [3, 5, 7], "M": [13, 29], "r_max": 8, "n_max": 8}
@@ -367,27 +376,23 @@ def suite_voronoi_char(grid=None, tolerance_scale=1.0):
                 for m_prime in [x for x in range(1, grid["m_prime_max"] + 1)
                                 if (m * c) % x == 0]:
                     c1 = math.gcd(m_prime, c // d)
-                    for ell in grid["ell"]:
-                        if c1 % ell == 0:
-                            continue
-                        for M in grid["M"]:
-                            if math.gcd(M, c) != 1:
-                                continue
-                            group = (m, m_prime, c, d, ell, M)
-                            raw, counts = voronoi_char_sums_raw(ns, rs, *group)
-                            closed = voronoi_char_sums_closed(ns, rs, *group).ravel()
-                            raw = raw.ravel()
-                            terms = np.repeat(counts, len(ns)) + m * c // m_prime
-                            tol = identity_tolerance(terms, np.abs(raw), np.abs(closed),
-                                                     tolerance_scale)
-                            devs = np.abs(raw - closed) / tol
-                            vanishing += int(np.count_nonzero(closed == 0))
+                    # (ell, M, r) order, so rows x ns flattens in grid order
+                    rows = [(r, ell, M) for ell in grid["ell"] if c1 % ell
+                            for M in grid["M"] if math.gcd(M, c) == 1 for r in rs]
+                    if not rows:
+                        continue
+                    raw, counts = voronoi_char_sums_raw(ns, rows, m, m_prime, c, d)
+                    closed = voronoi_char_sums_closed(ns, rows, m, m_prime, c, d).ravel()
+                    terms = np.repeat(counts, len(ns)) + m * c // m_prime
+                    devs = _batched_deviations(raw.ravel(), closed, terms, tolerance_scale)
+                    vanishing += int(np.count_nonzero(closed == 0))
 
-                            def witness_of(i, m=m, m_prime=m_prime, c=c, d=d, ell=ell, M=M):
-                                r, n = divmod(i, len(ns))
-                                return (ns[n], m, m_prime, c, d, rs[r], ell, M)
+                    def witness_of(i, m=m, m_prime=m_prime, c=c, d=d, rows=rows):
+                        row, n = divmod(i, len(ns))
+                        r, ell, M = rows[row]
+                        return (ns[n], m, m_prime, c, d, r, ell, M)
 
-                            sweep.offer(devs, 1e-9 * devs, witness_of, case)
+                    sweep.offer(devs, np.zeros_like(devs), witness_of, case)
     return sweep.report("voronoi-char", dict(grid, vanishing_cases=vanishing))
 
 

@@ -266,6 +266,13 @@ def test_integral_initial_grid_above_the_panel_limit_exits_3(capsys, argv):
     assert out == "" and "131072 panels in one level" in err
 
 
+def test_integral_names_the_product_that_overflowed(capsys):
+    code, out, err = run(capsys, "integral", "--preset", "toy", "--N", "1e308", "--no-cache")
+    assert code == 3
+    assert out == "" and "131072 panels in one level (the initial grid): " in err
+    assert "N*ell/(c*p*M) overflowed to inf" in err
+
+
 @pytest.mark.parametrize("flags, name", [(("--problem",), "."),  # a directory
                                          (("--problem",), "latin1.txt"),
                                          (("--paper", "--config"), "latin1.txt"),

@@ -36,6 +36,8 @@ from deltasum.expsums import (
     units_and_inverses,
     voronoi_char_sum_closed,
     voronoi_char_sum_raw,
+    voronoi_char_sums_closed,
+    voronoi_char_sums_raw,
 )
 from deltasum.numcore import RationalAngle, arithmetic_functions, divisor_count
 from deltasum.scan import Lcg
@@ -513,6 +515,67 @@ def test_voronoi_rejects_structure_failures():
         voronoi_char_sum_closed(1, 1, 1, 13, 1, 1, 5, 13)  # gcd(M, c) > 1
     with pytest.raises(ParameterInconsistency):
         voronoi_char_sum_closed(1, 1, 5, 10, 2, 1, 5, 13)  # ell | c1
+
+
+
+def _voronoi_block_rows(m, m_prime, c, d, r_max=6):
+    """Every admissible (r, ell, M) of one group, ell in {2, 3, 5, 7} and
+    M in {13, 29, 31}, in (ell, M, r) order."""
+    c1 = math.gcd(m_prime, c // d)
+    return [(r, ell, M) for ell in (2, 3, 5, 7) if c1 % ell
+            for M in (13, 29, 31) if math.gcd(M, c) == 1 for r in range(1, r_max + 1)]
+
+
+# (m, m', c, d): c1 = 4 (r = 3 vanishes), q2 = 2 (odd n vanish), c2 = 1, c = 1,
+# and two groups whose c/d has two primes
+VORONOI_BLOCKS = [(1, 4, 8, 1), (2, 1, 2, 2), (1, 1, 12, 1), (3, 1, 1, 1),
+                  (2, 3, 12, 2), (3, 9, 30, 5)]
+
+
+def _hex(z):
+    return complex(z).real.hex(), complex(z).imag.hex()
+
+
+@pytest.mark.parametrize("group", VORONOI_BLOCKS)
+def test_voronoi_block_entries_equal_one_entry_calls(group):
+    rows = _voronoi_block_rows(*group)
+    ns = list(range(1, 7))
+    raw, counts = voronoi_char_sums_raw(ns, rows, *group)
+    closed = voronoi_char_sums_closed(ns, rows, *group)
+    assert len({(ell, M) for _, ell, M in rows}) > 1
+    for i, (r, ell, M) in enumerate(rows):
+        for j, n in enumerate(ns):
+            raw_s = voronoi_char_sum_raw(n, *group, r, ell, M)
+            closed_s = voronoi_char_sum_closed(n, *group, r, ell, M)
+            assert _hex(raw[i, j]) == _hex(raw_s.value)
+            assert _hex(closed[i, j]) == _hex(closed_s.value)
+            assert counts[i] == raw_s.terms
+            assert raw_s.est_error.hex() == (UNIT_EPS * max(int(counts[i]), 1)).hex()
+            want = min(UNIT_EPS * abs(complex(closed[i, j])), 1e-12 * closed_s.terms)
+            assert closed_s.est_error.hex() == want.hex()
+    if group in VORONOI_BLOCKS[:2]:  # the two blocks with vanishing rows
+        assert (closed == 0).any()
+
+
+@pytest.mark.parametrize("bad_row", [
+    (0, 3, 13),   # r < 1
+    (1, 4, 13),   # ell not prime
+    (1, 3, 15),   # M not prime
+    (1, 3, 2),    # M even
+    (1, 3, 3),    # gcd(M, c) > 1
+    (1, 2, 13),   # ell | c1
+])
+def test_voronoi_block_rejects_an_inadmissible_row(bad_row):
+    group = (1, 2, 12, 2)  # c/d = 6, c1 = 2
+    rows = [(1, 5, 13), (2, 7, 29), bad_row, (3, 5, 13)]
+    r, ell, M = bad_row
+    for kernel, scalar in ((voronoi_char_sums_raw, voronoi_char_sum_raw),
+                           (voronoi_char_sums_closed, voronoi_char_sum_closed)):
+        with pytest.raises(ParameterInconsistency) as from_scalar:
+            scalar(1, *group, r, ell, M)
+        with pytest.raises(ParameterInconsistency) as from_block:
+            kernel((1, 2), rows, *group)
+        assert str(from_block.value) == str(from_scalar.value)
 
 
 # ------------------------------------------------------------ twisted split

@@ -147,6 +147,23 @@ def test_bisection_panel_limit_raises(monkeypatch):
         oscillatory._adaptive(_jagged, [1e-6, 1.0], 1e-300)
 
 
+@pytest.mark.parametrize("changes, product", [
+    ({"N": 1e308}, "N*ell/(c*p*M)"),
+    ({"N": 1.0, "n": 10**300, "c": 1e-170}, "4*pi*sqrt(N*n)*ell/(c*p*M)"),
+    ({"N": 1.0, "n": 10**307, "c": 1e-8}, "n*ell/(c*p*M)"),
+])
+def test_overflowed_product_is_named(changes, product):
+    from dataclasses import replace
+
+    from deltasum.errors import QuadratureNonConvergence
+
+    params = replace(TOY_PARAMS, **changes)
+    window = WindowFunction("plateau", TOY_THETA)
+    with pytest.raises(QuadratureNonConvergence) as err:
+        integral_value_and_error(params, window)
+    assert str(err.value).endswith(f"(the initial grid): {product} overflowed to inf")
+
+
 @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan, math.inf])
 def test_integral_rejects_bad_tolerance(tol):
     params = IntegralParams(N=1e6, n=10**6, p=11, ell=3, c=29.0, M=10**4)

@@ -81,16 +81,19 @@ def test_ramanujan_closed_form_equals_raw_sum(q, n):
 
 @st.composite
 def voronoi_groups(draw):
-    """One admissible (m, m', c, d, ell, M) group, as the voronoi-char suite
-    builds them."""
+    """One (m, m', c, d) group and admissible (r, ell, M) rows of it, as the
+    voronoi-char suite builds them (but drawn, so the (ell, M) may repeat)."""
     m = draw(st.integers(min_value=1, max_value=4))
     c = draw(st.integers(min_value=1, max_value=30))
     d = draw(st.sampled_from([x for x in range(1, c + 1) if c % x == 0]))
     m_prime = draw(st.sampled_from([x for x in range(1, 13) if (m * c) % x == 0]))
     c1 = math.gcd(m_prime, c // d)
-    ell = draw(st.sampled_from([x for x in (2, 3, 5, 7) if c1 % x != 0]))
-    M = draw(st.sampled_from([x for x in (13, 29, 31) if math.gcd(x, c) == 1]))
-    return m, m_prime, c, d, ell, M
+    rows = draw(st.lists(st.tuples(
+        st.integers(min_value=1, max_value=40),
+        st.sampled_from([x for x in (2, 3, 5, 7) if c1 % x != 0]),
+        st.sampled_from([x for x in (13, 29, 31) if math.gcd(x, c) == 1])),
+        min_size=1, max_size=6))
+    return (m, m_prime, c, d), rows
 
 
 def direct_beta_sum(n, m, m_prime, c, d, r, ell, M):
@@ -105,13 +108,13 @@ def direct_beta_sum(n, m, m_prime, c, d, r, ell, M):
 
 @PROPERTY_SETTINGS
 @given(voronoi_groups(),
-       st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=5),
        st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=5))
-def test_voronoi_group_rows_match_direct_sum(group, ns, rs):
-    m, m_prime, c, d, ell, M = group
-    raw, counts = voronoi_char_sums_raw(ns, rs, *group)
-    closed = voronoi_char_sums_closed(ns, rs, *group)
-    for i, r in enumerate(rs):
+def test_voronoi_group_rows_match_direct_sum(group_rows, ns):
+    group, rows = group_rows
+    m, m_prime, c, d = group
+    raw, counts = voronoi_char_sums_raw(ns, rows, *group)
+    closed = voronoi_char_sums_closed(ns, rows, *group)
+    for i, (r, ell, M) in enumerate(rows):
         for j, n in enumerate(ns):
             want, count = direct_beta_sum(n, m, m_prime, c, d, r, ell, M)
             assert counts[i] == count

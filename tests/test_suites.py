@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from deltasum import suites
 from deltasum.characters import enumerate_characters
 from deltasum.errors import InvalidValue
 from deltasum.expsums import units_and_inverses, voronoi_char_sum_closed
@@ -263,6 +264,99 @@ def test_voronoi_sweep_matches_case_by_case_reference():
     report = run_suite("voronoi-char", grid=grid)
     assert (report.max_deviation, tuple(report.worst_witness)) == (worst, witness)
     assert (report.cases, report.grid["vanishing_cases"]) == (cases, vanishing)
+
+
+@pytest.mark.parametrize("name", ["voronoi-char", "psi-average"])
+def test_block_sweeps_offer_the_scalar_deviations_with_zero_slack(monkeypatch, name):
+    offers = []
+    real_offer = _Sweep.offer
+
+    def recording_offer(self, devs, slacks, witness_of, case_fn):
+        offers.append((devs.copy(), slacks.copy(), witness_of, case_fn))
+        real_offer(self, devs, slacks, witness_of, case_fn)
+
+    monkeypatch.setattr(_Sweep, "offer", recording_offer)
+    report = run_suite(name, preset="smoke")
+    assert sum(devs.size for devs, *_ in offers) == report.cases
+    for devs, slacks, witness_of, case_fn in offers:
+        assert not slacks.any()
+        for i, dev in enumerate(devs.tolist()):
+            assert dev.hex() == case_fn(*witness_of(i)).hex()
+
+
+def test_voronoi_sweep_calls_each_block_kernel_once_per_group(monkeypatch):
+    calls = {"raw": [], "closed": [], "case": 0, "case_outside_offer": 0}
+    in_offer = [False]
+
+    def counting(key, fn):
+        def wrapped(ns, rows, *group):
+            calls[key].append((group, rows))
+            return fn(ns, rows, *group)
+        return wrapped
+
+    def counting_case(*args, **kwargs):
+        calls["case"] += 1
+        calls["case_outside_offer"] += not in_offer[0]
+        return voronoi_case(*args, **kwargs)
+
+    real_offer = _Sweep.offer
+
+    def offer(self, *args):
+        in_offer[0] = True
+        try:
+            real_offer(self, *args)
+        finally:
+            in_offer[0] = False
+
+    monkeypatch.setattr(suites, "voronoi_char_sums_raw",
+                        counting("raw", suites.voronoi_char_sums_raw))
+    monkeypatch.setattr(suites, "voronoi_char_sums_closed",
+                        counting("closed", suites.voronoi_char_sums_closed))
+    monkeypatch.setattr(suites, "voronoi_case", counting_case)
+    monkeypatch.setattr(_Sweep, "offer", offer)
+    report = run_suite("voronoi-char")
+    grid = report.grid
+    blocks = []
+    for m in range(1, grid["m_max"] + 1):
+        for c in range(1, grid["c_max"] + 1):
+            for d in [x for x in range(1, c + 1) if c % x == 0]:
+                for m_prime in [x for x in range(1, grid["m_prime_max"] + 1)
+                                if (m * c) % x == 0]:
+                    # grid order: ell, then M, then r (n runs along each row)
+                    rows = [(r, ell, M) for ell in grid["ell"]
+                            if math.gcd(m_prime, c // d) % ell
+                            for M in grid["M"] if math.gcd(M, c) == 1
+                            for r in range(1, grid["r_max"] + 1)]
+                    if rows:
+                        blocks.append(((m, m_prime, c, d), rows))
+    assert calls["raw"] == calls["closed"] == blocks
+    assert calls["case_outside_offer"] == 0
+    assert 1 <= calls["case"] <= 50
+
+
+def test_hypot_equals_python_abs_bit_for_bit():
+    rng = np.random.default_rng(20261018)
+    size = 100_000
+    mags = 10.0 ** rng.uniform(-320, 308, size=(2, size))
+    parts = mags * rng.choice([-1.0, 1.0], size=(2, size))
+    parts[:, rng.random(size) < 0.05] = 0.0  # zeros, alone and with the other part
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, 1e-310, 1.0, -1.0]
+    pairs = [(a, b) for a in special for b in special]
+    re = np.concatenate([parts[0], [a for a, _ in pairs]])
+    im = np.concatenate([parts[1], [b for _, b in pairs]])
+
+    def python_abs(a, b):
+        try:
+            return abs(complex(a, b))
+        except OverflowError:  # where hypot returns inf, Python raises instead
+            return math.inf
+
+    with np.errstate(over="ignore"):
+        got = np.hypot(re, im).tolist()
+    want = [python_abs(a, b) for a, b in zip(re.tolist(), im.tolist())]
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    assert got.count(math.inf) == 4  # the maximum float with itself, in both signs
 
 
 @pytest.mark.parametrize("grid, skips", [
