@@ -13,10 +13,10 @@ modulus use it, while a single character (sum dsum, sum gauss) keeps its
 one row and never builds the (q-1) x q table.
 
 The discrete-log and root tables are kept in numcore.table_memo (the 256
-most recently used tables of at most 2**20 entries) and shared read-only,
-so characters are cheap value objects safe for concurrent use.  Two
-threads racing on a missing table may each build it; both builds are
-equal, and one of them is kept.
+most recently built tables of at most 2**20 entries, and at most 64 MiB
+in each memo) and shared read-only, so characters are cheap value
+objects safe for concurrent use.  Two threads racing on a missing table
+may each build it; both builds are equal, and one of them is kept.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Exact integer, residue, and rational-angle arithmetic.
 
-Everything in this module is exact.  Modular work uses Python integers but
-rejects moduli above 2**31, so any product of two moduli stays below 2**62
-and the same numbers are reproducible in fixed-width reimplementations.
+Everything in this module is exact.  Modular work uses Python integers
+(reduce_mod, int64 arrays) but rejects moduli above 2**31, so any product
+of two moduli stays below 2**62 and the same numbers are reproducible in
+fixed-width reimplementations.
 Elements of Q/Z are stored as reduced fractions with bounded denominator.
 It also holds the package's memo for per-modulus tables, table_memo.
 """
@@ -11,7 +12,11 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
+from collections import namedtuple
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InvalidValue, LimitExceeded, NotInvertible
 
@@ -22,21 +27,73 @@ MAX_DENOMINATOR = 1 << 62
 TAU = 2.0 * math.pi
 
 MEMO_MAX_ENTRIES = 1 << 20  # a table of more entries (16 MB of complex) is not memoised
+MEMO_MAX_BYTES = 64 << 20  # the most bytes of tables that one memo holds
+
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize nbytes")
+
+
+def _nbytes(table):
+    return sum(a.nbytes for a in (table if isinstance(table, tuple) else (table,)))
 
 
 def table_memo(fn):
-    """Memoise fn(n), a table of at most n entries: the 256 most recently
-    used tables with n <= MEMO_MAX_ENTRIES.  A larger table is built on
+    """Memoise fn(n), a table of at most n entries (an array or a tuple of
+    arrays): the most recently built tables with n <= MEMO_MAX_ENTRIES, at
+    most 256 of them and at most MEMO_MAX_BYTES together, evicting the
+    oldest first.  A hit is one dict lookup.  A larger table is built on
     every call and freed with its last use, so a few sums near the budget
-    do not pin hundreds of megabytes for the life of the process."""
-    memo = functools.lru_cache(maxsize=256)(fn)
+    do not pin hundreds of megabytes for the life of the process, and the
+    byte bound keeps many tables just below that size from doing so
+    together.  Two threads racing on a missing table may each build it;
+    both builds are equal, and the first one stored is kept."""
+    memo = {}
+    lock = threading.Lock()
+    hits = misses = held = 0
 
     @functools.wraps(fn)
     def table(n):
-        return memo(n) if n <= MEMO_MAX_ENTRIES else fn(n)
+        nonlocal hits, misses, held
+        found = memo.get(n)
+        if found is not None:
+            hits += 1
+            return found
+        if n > MEMO_MAX_ENTRIES:
+            return fn(n)
+        built = fn(n)
+        with lock:
+            misses += 1
+            if n not in memo:
+                memo[n] = built
+                held += _nbytes(built)
+                while len(memo) > 256 or held > MEMO_MAX_BYTES:
+                    held -= _nbytes(memo.pop(next(iter(memo))))
+            return memo.get(n, built)
 
-    table.cache_info, table.cache_clear = memo.cache_info, memo.cache_clear
+    def cache_info():
+        return CacheInfo(hits, misses, 256, len(memo), held)
+
+    def cache_clear():
+        nonlocal hits, misses, held
+        with lock:
+            memo.clear()
+            hits = misses = held = 0
+
+    table.cache_info, table.cache_clear = cache_info, cache_clear
     return table
+
+
+def reduce_mod(v, c):
+    """v mod c in [0, c) for an int64 array v and an integer c > 0, in
+    place: v - (v // c) * c.  numpy divides an array by a scalar through
+    libdivide, but its % takes a slower path; both give the same integers
+    for any sign of v with |v| < 2**62.  Below about a thousand entries the
+    two extra calls cost more than they save, so short arrays take %."""
+    if v.size < 1024:
+        return np.remainder(v, c, out=v)
+    q = v // c
+    q *= c
+    v -= q
+    return v
 
 
 def check_modulus(m):

@@ -45,7 +45,6 @@ from .expsums import (
     d_sum,
     identity_tolerance,
     kloosterman,
-    kloosterman_terms,
     psi_average_closed,
     psi_average_raw,
     psi_average_sums_closed,
@@ -57,7 +56,14 @@ from .expsums import (
     voronoi_char_sums_closed,
     voronoi_char_sums_raw,
 )
-from .numcore import RationalAngle, angle_add, divisor_count, mod_inv, primes_between
+from .numcore import (
+    RationalAngle,
+    angle_add,
+    arithmetic_functions,
+    divisor_count,
+    mod_inv,
+    primes_between,
+)
 from .oscillatory import (
     TOY_PARAMS,
     TOY_THETA,
@@ -92,7 +98,11 @@ class _Sweep:
 
     def offer(self, devs, slacks, witness_of, case_fn):
         start = self.cases
-        nominated = devs > self.worst - slacks
+        # Case j's scalar deviation is at least devs[j] - slacks[j], so the
+        # running worst before case i is at least floor[i]; only a case with
+        # devs[i] > floor[i] - slacks[i] can raise it.
+        floor = np.fmax.accumulate(np.concatenate(([self.worst], devs[:-1] - slacks[:-1])))
+        nominated = devs > floor[:devs.size] - slacks
         nominated[:1] |= start == 0  # the first case offered always sets the witness
         for i in np.flatnonzero(nominated).tolist():
             if devs[i] > self.worst - slacks[i] or start + i == 0:
@@ -439,25 +449,29 @@ def weil_case(m, n, c):
 
 
 def suite_weil(c_max=2000, pairs_per_c=20, seed=5):
-    """All pairs of one modulus form one gather; numpy row sums locate the
-    candidates, which weil_case re-evaluates by the fsum route."""
+    """One kloosterman_screen over the whole grid locates the candidates,
+    which weil_case re-evaluates by the fsum route."""
+    expsums.check_budget(max(c_max, 1), expsums.DEFAULT_BUDGET)  # before drawing the grid
     sweep = _Sweep()
     rng = Lcg(seed)
-    for c in range(1, c_max + 1):
-        draws = np.array([1 + rng.below(10**6) for _ in range(2 * pairs_per_c)],
-                         dtype=np.int64)
-        ms, ns = draws[0::2], draws[1::2]
-        summands = kloosterman_terms(ms, ns, c)
-        size = summands.shape[1]
-        sums = summands.sum(axis=1)
-        expsums.check_rows(sums, size, expsums.UNIT_EPS * size)
-        scale = (divisor_count(c) * np.sqrt(np.gcd(np.gcd(ms, ns), c) * c)
-                 + expsums.UNIT_EPS * size)
-        # numpy's pairwise row sum of T unit-modulus terms is within about
-        # (128 + log2 T) * 2**-53 * T of the exact sum, and fsum within half
-        # an ulp of it, so 1e-9 * T bounds |batched - scalar| with room.
-        sweep.offer(np.abs(sums) / scale, 1e-9 * size / scale,
-                    lambda i, c=c, ms=ms, ns=ns: (int(ms[i]), int(ns[i]), c), weil_case)
+    moduli = range(1, c_max + 1)
+    pairs = max(pairs_per_c, 0)
+    size = 2 * pairs * len(moduli)
+    draws = np.fromiter((1 + rng.below(10**6) for _ in range(size)), dtype=np.int64, count=size)
+    ms, ns = draws[0::2], draws[1::2]
+    cs = np.repeat(np.arange(1, c_max + 1, dtype=np.int64), pairs)
+    funcs = np.array([arithmetic_functions(c) for c in moduli], dtype=np.int64).reshape(-1, 3)
+    phi, divisors = np.repeat(funcs[:, 0], pairs), np.repeat(funcs[:, 2], pairs)
+    sums = expsums.kloosterman_screen(ms, ns, cs)
+    expsums.check_rows(sums, phi, expsums.UNIT_EPS * phi)
+    scale = divisors * np.sqrt(np.gcd(np.gcd(ms, ns), cs) * cs) + expsums.UNIT_EPS * phi
+    # 1e-9 * phi(c) bounds |screened - scalar| about 2500 times over (the
+    # derivation is in the expsums docstring): each of the at most 4 prime
+    # power factors of c <= 2000 is within (64 eps log2 q + UNIT_EPS) q of
+    # exact, so their product is within 8.7e-14 c <= 3.9e-13 phi(c), and
+    # weil_case's fsum of phi(c) table roots within 2.2e-15 phi(c).
+    sweep.offer(np.abs(sums) / scale, 1e-9 * phi / scale,
+                lambda i: (int(ms[i]), int(ns[i]), int(cs[i])), weil_case)
     return sweep.report("weil", {"c_max": c_max, "pairs_per_c": pairs_per_c, "seed": seed})
 
 

@@ -25,6 +25,7 @@ from deltasum.expsums import (
     fsum_rows,
     identity_tolerance,
     kloosterman,
+    kloosterman_screen,
     kloosterman_terms,
     psi_average_closed,
     psi_average_raw,
@@ -138,6 +139,41 @@ def test_weil_bound_sampled():
             s = kloosterman(m, n, c)
             bound = divisor_count(c) * math.sqrt(math.gcd(m, math.gcd(n, c)) * c)
             assert abs(s.value) <= bound + s.est_error
+
+
+def _weil_grid(c_max, pairs_per_c, seed):
+    """The weil suite's cases (m, n, c), drawn in its order."""
+    rng = Lcg(seed)
+    return [(1 + rng.below(10**6), 1 + rng.below(10**6), c)
+            for c in range(1, c_max + 1) for _ in range(pairs_per_c)]
+
+
+@pytest.mark.parametrize("c_max, pairs_per_c, seed, c_limit", [
+    (2000, 20, 5, 500),  # the default grid, every row with c <= 500
+    (200, 5, 1, 200),  # the smoke grid
+    (200, 5, 11, 200),
+])
+def test_kloosterman_screen_within_slack_on_weil_grids(c_max, pairs_per_c, seed, c_limit):
+    cases = [case for case in _weil_grid(c_max, pairs_per_c, seed) if case[2] <= c_limit]
+    ms, ns, cs = (np.array(col, dtype=np.int64) for col in zip(*cases))
+    screened = kloosterman_screen(ms, ns, cs)
+    for (m, n, c), got in zip(cases, screened.tolist()):
+        want = kloosterman(m, n, c)
+        assert abs(got - want.value) <= 1e-9 * want.terms
+
+
+def test_kloosterman_screen_edges():
+    assert kloosterman_screen([], [], []).shape == (0,)
+    # unsorted and repeated moduli come back in input order
+    got = kloosterman_screen([3, 0, 5, 3], [7, 0, 1, 7], [30, 8, 1, 7])
+    want = [kloosterman(3, 7, 30).value, 4, 1, kloosterman(3, 7, 7).value]
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
+    with pytest.raises(BudgetExceeded):
+        kloosterman_screen([1, 1], [1, 1], [5, 10**7 + 1])
+    with pytest.raises(BudgetExceeded):
+        kloosterman_screen([1], [1], [101], budget=100)
+    with pytest.raises(InvalidValue):
+        kloosterman_screen([1], [1], [0])
 
 
 def test_kloosterman_budget():

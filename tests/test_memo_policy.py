@@ -3,10 +3,9 @@ unbounded memo (functools.cache, or lru_cache(maxsize=None)) on a function
 that takes arguments grows for the life of the process; one on a function
 without arguments holds a single value and is allowed.  The per-modulus
 tables are bounded in bytes too: numcore.table_memo memoises none above
-MEMO_MAX_ENTRIES entries."""
+MEMO_MAX_ENTRIES entries, and holds at most MEMO_MAX_BYTES."""
 
 import ast
-import gc
 import pathlib
 
 import numpy as np
@@ -14,7 +13,7 @@ import pytest
 
 from deltasum.characters import discrete_log_table, unit_roots
 from deltasum.expsums import kloosterman, units_and_inverses
-from deltasum.numcore import MEMO_MAX_ENTRIES
+from deltasum.numcore import MEMO_MAX_BYTES, MEMO_MAX_ENTRIES, table_memo
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "deltasum"
 
@@ -80,15 +79,16 @@ def test_memo_check_sees_every_unbounded_form():
 # tables of at most MEMO_MAX_ENTRIES entries.
 
 def _held_bytes(table):
-    """Bytes of the arrays a table_memo holds, read off the gc referents of
-    its lru_cache (each result is an array or a tuple of arrays)."""
+    """Bytes of the arrays a table_memo holds, read off the dict in its
+    closure (each value is an array or a tuple of arrays); it must agree
+    with the memo's own count."""
     (memo,) = [cell.cell_contents for cell in table.__closure__
-               if hasattr(cell.cell_contents, "cache_info")]
+               if isinstance(cell.cell_contents, dict)]
     held = 0
-    for obj in gc.get_referents(memo):
-        for item in obj if isinstance(obj, tuple) else (obj,):
-            if isinstance(item, np.ndarray):
-                held += item.nbytes
+    for value in memo.values():
+        for item in value if isinstance(value, tuple) else (value,):
+            held += item.nbytes
+    assert table.cache_info().nbytes == held
     return held
 
 
@@ -115,3 +115,17 @@ def test_large_sums_leave_the_table_memos_small():
     for c in (9699690, 9729720, 9999990):
         kloosterman(1, 1, c)
     assert sum(map(_held_bytes, tables)) == small
+
+
+def test_table_memo_holds_at_most_its_byte_bound():
+    # eight tables of 2**20 complex entries, 16 MiB each: 128 MiB unbounded
+    roots = table_memo(lambda n: np.ones(n, dtype=np.complex128))
+    for n in range(MEMO_MAX_ENTRIES - 7, MEMO_MAX_ENTRIES + 1):
+        assert roots(n) is roots(n)
+        assert _held_bytes(roots) <= MEMO_MAX_BYTES
+    info = roots.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (MEMO_MAX_BYTES // (16 << 20), 8, 8)
+    roots(MEMO_MAX_ENTRIES - 7)  # the oldest went first: a miss
+    assert roots.cache_info().misses == 9
+    roots.cache_clear()
+    assert roots.cache_info() == (0, 0, 256, 0, 0)

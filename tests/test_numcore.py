@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from deltasum.errors import NotInvertible, OutOfRange
@@ -11,6 +12,7 @@ from deltasum.numcore import (
     is_prime,
     mod_inv,
     primes_between,
+    reduce_mod,
 )
 from deltasum.scan import Lcg
 
@@ -127,3 +129,17 @@ def test_primes_between_is_open_on_both_ends():
     assert primes_between(10, 20) == [11, 13, 17, 19]
     assert primes_between(1, 3) == [2]
     assert primes_between(2, 3) == []
+
+
+@pytest.mark.parametrize("c", [1, 2, 3, 1999, 65536, 9999991, 2**31 - 1, 2**31])
+def test_reduce_mod_equals_numpy_remainder(c):
+    rng = np.random.default_rng(c)
+    residues = rng.integers(0, c, 4000, dtype=np.int64)
+    v = np.concatenate([
+        rng.integers(-2**62, 2**62, 4000, dtype=np.int64),  # either sign, up to 2**62
+        residues * rng.integers(0, c, 4000, dtype=np.int64),  # products of residues
+        -residues, np.array([0, 1, -1, c - 1, c, -c, 2**62 - 1, -2**62], dtype=np.int64)])
+    for part in (v, v[:1000], v[-8:]):  # long arrays, and short ones that take %
+        got = reduce_mod(part.copy(), c)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, part % c)

@@ -1,10 +1,12 @@
 """Property-based checks of the Kloosterman and Ramanujan identities and of
 the batched kernels (kloosterman_terms, voronoi_char_sums_raw) against a
-pure-Python direct sum over the units, within identity_tolerance."""
+pure-Python direct sum over the units, within identity_tolerance, and of
+kloosterman_screen against kloosterman within the weil sweep's slack."""
 
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -15,6 +17,7 @@ from deltasum.expsums import (
     fsum_rows,
     identity_tolerance,
     kloosterman,
+    kloosterman_screen,
     kloosterman_terms,
     ramanujan_sum,
     voronoi_char_sums_closed,
@@ -66,6 +69,39 @@ def test_batched_kloosterman_rows_match_direct_sum(pairs, c):
         want, count = direct_kloosterman(m, n, c)
         assert abs(got - want) <= identity_tolerance(2 * count, abs(got), abs(want))
         assert got == kloosterman(m, n, c).value
+
+
+@st.composite
+def prime_power_cases(draw):
+    """(m, n, c) with c = p**k * r for p**k among 2**k, 3**k, p**2 and p**3,
+    and m, n both divisible by p (often by a higher power), so that the
+    screen's p-adic descent runs."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    k = draw(st.integers(min_value=1, max_value=8)) if p <= 3 else draw(st.sampled_from([2, 3]))
+    q = p ** k
+    r = draw(st.sampled_from([x for x in range(1, 400 // q + 2) if x % p]))
+    m, n = (p ** draw(st.integers(min_value=1, max_value=k + 1)) * draw(residues)
+            for _ in range(2))
+    return m, n, q * r
+
+
+def assert_screen_matches_scalar(cases):
+    ms, ns, cs = (np.array(col, dtype=np.int64) for col in zip(*cases))
+    for (m, n, c), got in zip(cases, kloosterman_screen(ms, ns, cs)):
+        want = kloosterman(m, n, c)
+        assert abs(got - want.value) <= 1e-9 * want.terms  # the weil sweep's slack
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.tuples(residues, residues, moduli), min_size=1, max_size=8))
+def test_kloosterman_screen_within_slack_of_scalar(cases):
+    assert_screen_matches_scalar(cases)
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(prime_power_cases(), min_size=1, max_size=8))
+def test_kloosterman_screen_descends_through_prime_powers(cases):
+    assert_screen_matches_scalar(cases)
 
 
 @PROPERTY_SETTINGS

@@ -8,7 +8,7 @@ import pytest
 
 from deltasum import suites
 from deltasum.characters import enumerate_characters
-from deltasum.errors import InvalidValue
+from deltasum.errors import BudgetExceeded, InvalidValue
 from deltasum.expsums import units_and_inverses, voronoi_char_sum_closed
 from deltasum.numcore import primes_between
 from deltasum.scan import Lcg, ScanReport, append_ledger
@@ -236,6 +236,31 @@ def test_weil_sweep_matches_case_by_case_reference(seed):
     report = run_suite("weil", preset="smoke", seed=seed)
     assert (report.max_deviation, tuple(report.worst_witness)) == (worst, witness)
     assert report.cases == grid["c_max"] * grid["pairs_per_c"]
+
+
+# weil's payloads at the edges of its grid, as the per-modulus sweep gave them
+WEIL_EMPTY = {"cases": 0, "max_deviation": 0.0, "worst_witness": None, "passed": True}
+WEIL_C1 = {"max_deviation": 0.999999999999998, "worst_witness": [301177, 17879, 1],
+           "passed": True}
+
+
+@pytest.mark.parametrize("grid, pinned", [
+    ({"c_max": 0}, WEIL_EMPTY),
+    ({"c_max": -5}, WEIL_EMPTY),
+    ({"pairs_per_c": 0}, WEIL_EMPTY),
+    ({"c_max": -5, "pairs_per_c": -1}, WEIL_EMPTY),
+    ({"c_max": 1}, {"cases": 20, **WEIL_C1}),
+    ({"c_max": 30, "pairs_per_c": 1}, {"cases": 30, **WEIL_C1}),
+])
+def test_weil_edge_grids_pinned(grid, pinned):
+    payload = run_suite("weil", **grid).payload()
+    full_grid = {"c_max": 2000, "pairs_per_c": 20, "seed": 5, **grid}
+    assert payload == {"suite": "weil", "grid": full_grid, **pinned}
+
+
+def test_weil_rejects_moduli_above_the_budget_before_drawing():
+    with pytest.raises(BudgetExceeded):
+        run_suite("weil", c_max=10**7 + 1)
 
 
 def test_voronoi_sweep_matches_case_by_case_reference():
