@@ -29,7 +29,7 @@ TAU = 2.0 * math.pi
 MEMO_MAX_ENTRIES = 1 << 20  # a table of more entries (16 MB of complex) is not memoised
 MEMO_MAX_BYTES = 64 << 20  # the most bytes of tables that one memo holds
 
-CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize nbytes")
+CacheInfo = namedtuple("CacheInfo", "maxsize currsize nbytes")
 
 
 def _nbytes(table):
@@ -40,28 +40,27 @@ def table_memo(fn):
     """Memoise fn(n), a table of at most n entries (an array or a tuple of
     arrays): the most recently built tables with n <= MEMO_MAX_ENTRIES, at
     most 256 of them and at most MEMO_MAX_BYTES together, evicting the
-    oldest first.  A hit is one dict lookup.  A larger table is built on
-    every call and freed with its last use, so a few sums near the budget
-    do not pin hundreds of megabytes for the life of the process, and the
-    byte bound keeps many tables just below that size from doing so
-    together.  Two threads racing on a missing table may each build it;
-    both builds are equal, and the first one stored is kept."""
+    oldest first.  A hit is one dict lookup, without the lock.  A
+    larger table is built on every call and freed with its last use, so a
+    few sums near the budget do not pin hundreds of megabytes for the life
+    of the process, and the byte bound keeps many tables just below that
+    size from doing so together.  Two threads racing on a missing table
+    may each build it; both builds are equal, and the first one stored is
+    kept."""
     memo = {}
     lock = threading.Lock()
-    hits = misses = held = 0
+    held = 0
 
     @functools.wraps(fn)
     def table(n):
-        nonlocal hits, misses, held
+        nonlocal held
         found = memo.get(n)
         if found is not None:
-            hits += 1
             return found
         if n > MEMO_MAX_ENTRIES:
             return fn(n)
         built = fn(n)
         with lock:
-            misses += 1
             if n not in memo:
                 memo[n] = built
                 held += _nbytes(built)
@@ -70,13 +69,14 @@ def table_memo(fn):
             return memo.get(n, built)
 
     def cache_info():
-        return CacheInfo(hits, misses, 256, len(memo), held)
+        with lock:
+            return CacheInfo(256, len(memo), held)
 
     def cache_clear():
-        nonlocal hits, misses, held
+        nonlocal held
         with lock:
             memo.clear()
-            hits = misses = held = 0
+            held = 0
 
     table.cache_info, table.cache_clear = cache_info, cache_clear
     return table
