@@ -242,28 +242,34 @@ def _prime_power_screen(a, b, p, k, rows):
     return out
 
 
-def kloosterman_screen(ms, ns, cs, budget=DEFAULT_BUDGET):
-    """Approximate S(m_i, n_i; c_i) for int64 arrays ms, ns, cs, for sweeps
-    that only nominate candidates: no value of it is ever reported.
+def kloosterman_screen(ms, ns, cs):
+    """(sums, phi, divisors) for int64 arrays ms, ns, cs: sums[i] is an
+    approximate S(m_i, n_i; c_i), for sweeps that only nominate candidates
+    (no value of it is ever reported), and phi[i], divisors[i] are phi(c_i)
+    and d(c_i), taken from the one factorisation of each modulus.
 
     By twisted multiplicativity S(m, n; c) is the product over the prime
     powers q exactly dividing c of S(m rbar, n rbar; q), with r = c/q and
     rbar its inverse mod q.  Each factor is an entry of one FFT row per
     prime power (_prime_power_screen); one prime's rows are alive at a
-    time, and rbar is taken once per modulus.  A modulus above budget
-    raises BudgetExceeded, one below 1 InvalidValue.
+    time, and rbar is taken once per modulus.  A modulus above
+    DEFAULT_BUDGET raises BudgetExceeded, one below 1 InvalidValue.
     """
     cs = np.asarray(cs, dtype=np.int64)
     order = np.argsort(cs, kind="stable")
     ms, ns = np.asarray(ms, dtype=np.int64)[order], np.asarray(ns, dtype=np.int64)[order]
     moduli, starts, counts = np.unique(cs[order], return_index=True, return_counts=True)
     by_prime = {}  # p -> k -> (start, count, rbar) of each modulus with p**k || c
+    funcs = []  # (phi(c), d(c)) of each modulus
     for c, start, count in zip(moduli.tolist(), starts.tolist(), counts.tolist()):
-        check_budget(c, budget)
+        check_budget(c, DEFAULT_BUDGET)
+        phi = divisors = 1
         for p, k in factorize(c).factors:
             q = p ** k
+            phi, divisors = phi * (q - q // p), divisors * (k + 1)
             by_prime.setdefault(p, {}).setdefault(k, []).append(
                 (start, count, pow(c // q, -1, q)))
+        funcs.append((phi, divisors))
     out = np.ones(cs.size, dtype=np.complex128)
     for p in sorted(by_prime):
         rows = {}
@@ -277,7 +283,8 @@ def kloosterman_screen(ms, ns, cs, budget=DEFAULT_BUDGET):
             b = reduce_mod(reduce_mod(ns[idx], q) * rbar, q)
             out[idx] *= _prime_power_screen(a, b, p, k, rows)
     out[order] = out.copy()
-    return out
+    funcs = np.array(funcs, dtype=np.int64).reshape(-1, 2)[np.searchsorted(moduli, cs)]
+    return out, funcs[:, 0], funcs[:, 1]
 
 
 def twisted_kloosterman(psi, m, n, c, budget=DEFAULT_BUDGET):

@@ -29,7 +29,7 @@ TAU = 2.0 * math.pi
 MEMO_MAX_ENTRIES = 1 << 20  # a table of more entries (16 MB of complex) is not memoised
 MEMO_MAX_BYTES = 64 << 20  # the most bytes of tables that one memo holds
 
-CacheInfo = namedtuple("CacheInfo", "maxsize currsize nbytes")
+CacheInfo = namedtuple("CacheInfo", "misses maxsize currsize nbytes")
 
 
 def _nbytes(table):
@@ -40,20 +40,21 @@ def table_memo(fn):
     """Memoise fn(n), a table of at most n entries (an array or a tuple of
     arrays): the most recently built tables with n <= MEMO_MAX_ENTRIES, at
     most 256 of them and at most MEMO_MAX_BYTES together, evicting the
-    oldest first.  A hit is one dict lookup, without the lock.  A
-    larger table is built on every call and freed with its last use, so a
-    few sums near the budget do not pin hundreds of megabytes for the life
-    of the process, and the byte bound keeps many tables just below that
-    size from doing so together.  Two threads racing on a missing table
-    may each build it; both builds are equal, and the first one stored is
-    kept."""
+    oldest first.  A hit is one dict lookup, without the lock, so
+    cache_info() counts misses (builds of a memoisable table) but not hits.
+    A larger table is built on every call and freed with its last use, so
+    a few sums near the budget do not pin hundreds of megabytes for the
+    life of the process, and the byte bound keeps many tables just below
+    that size from doing so together.  Two threads racing on a missing
+    table may each build it (two misses); both builds are equal, and the
+    first one stored is kept."""
     memo = {}
     lock = threading.Lock()
-    held = 0
+    held = misses = 0
 
     @functools.wraps(fn)
     def table(n):
-        nonlocal held
+        nonlocal held, misses
         found = memo.get(n)
         if found is not None:
             return found
@@ -61,6 +62,7 @@ def table_memo(fn):
             return fn(n)
         built = fn(n)
         with lock:
+            misses += 1
             if n not in memo:
                 memo[n] = built
                 held += _nbytes(built)
@@ -70,13 +72,13 @@ def table_memo(fn):
 
     def cache_info():
         with lock:
-            return CacheInfo(256, len(memo), held)
+            return CacheInfo(misses, 256, len(memo), held)
 
     def cache_clear():
-        nonlocal held
+        nonlocal held, misses
         with lock:
             memo.clear()
-            held = 0
+            held = misses = 0
 
     table.cache_info, table.cache_clear = cache_info, cache_clear
     return table
@@ -86,10 +88,7 @@ def reduce_mod(v, c):
     """v mod c in [0, c) for an int64 array v and an integer c > 0, in
     place: v - (v // c) * c.  numpy divides an array by a scalar through
     libdivide, but its % takes a slower path; both give the same integers
-    for any sign of v with |v| < 2**62.  Below about a thousand entries the
-    two extra calls cost more than they save, so short arrays take %."""
-    if v.size < 1024:
-        return np.remainder(v, c, out=v)
+    for any sign of v with |v| < 2**62."""
     q = v // c
     q *= c
     v -= q

@@ -56,14 +56,7 @@ from .expsums import (
     voronoi_char_sums_closed,
     voronoi_char_sums_raw,
 )
-from .numcore import (
-    RationalAngle,
-    angle_add,
-    arithmetic_functions,
-    divisor_count,
-    mod_inv,
-    primes_between,
-)
+from .numcore import RationalAngle, angle_add, divisor_count, mod_inv, primes_between
 from .oscillatory import (
     TOY_PARAMS,
     TOY_THETA,
@@ -454,15 +447,12 @@ def suite_weil(c_max=2000, pairs_per_c=20, seed=5):
     expsums.check_budget(max(c_max, 1), expsums.DEFAULT_BUDGET)  # before drawing the grid
     sweep = _Sweep()
     rng = Lcg(seed)
-    moduli = range(1, c_max + 1)
     pairs = max(pairs_per_c, 0)
-    size = 2 * pairs * len(moduli)
+    size = 2 * pairs * max(c_max, 0)
     draws = np.fromiter((1 + rng.below(10**6) for _ in range(size)), dtype=np.int64, count=size)
     ms, ns = draws[0::2], draws[1::2]
     cs = np.repeat(np.arange(1, c_max + 1, dtype=np.int64), pairs)
-    funcs = np.array([arithmetic_functions(c) for c in moduli], dtype=np.int64).reshape(-1, 3)
-    phi, divisors = np.repeat(funcs[:, 0], pairs), np.repeat(funcs[:, 2], pairs)
-    sums = expsums.kloosterman_screen(ms, ns, cs)
+    sums, phi, divisors = expsums.kloosterman_screen(ms, ns, cs)
     expsums.check_rows(sums, phi, expsums.UNIT_EPS * phi)
     scale = divisors * np.sqrt(np.gcd(np.gcd(ms, ns), cs) * cs) + expsums.UNIT_EPS * phi
     # 1e-9 * phi(c) bounds |screened - scalar| about 2500 times over (the

@@ -156,22 +156,22 @@ def _weil_grid(c_max, pairs_per_c, seed):
 def test_kloosterman_screen_within_slack_on_weil_grids(c_max, pairs_per_c, seed, c_limit):
     cases = [case for case in _weil_grid(c_max, pairs_per_c, seed) if case[2] <= c_limit]
     ms, ns, cs = (np.array(col, dtype=np.int64) for col in zip(*cases))
-    screened = kloosterman_screen(ms, ns, cs)
-    for (m, n, c), got in zip(cases, screened.tolist()):
+    screened, phi, divisors = kloosterman_screen(ms, ns, cs)
+    for (m, n, c), got, terms, d in zip(cases, screened.tolist(), phi, divisors):
         want = kloosterman(m, n, c)
         assert abs(got - want.value) <= 1e-9 * want.terms
+        assert (terms, d) == (want.terms, divisor_count(c))
 
 
 def test_kloosterman_screen_edges():
-    assert kloosterman_screen([], [], []).shape == (0,)
+    assert [a.shape for a in kloosterman_screen([], [], [])] == [(0,)] * 3
     # unsorted and repeated moduli come back in input order
-    got = kloosterman_screen([3, 0, 5, 3], [7, 0, 1, 7], [30, 8, 1, 7])
+    got, phi, divisors = kloosterman_screen([3, 0, 5, 3], [7, 0, 1, 7], [30, 8, 1, 7])
     want = [kloosterman(3, 7, 30).value, 4, 1, kloosterman(3, 7, 7).value]
     assert np.allclose(got, want, rtol=0, atol=1e-12)
+    assert phi.tolist() == [8, 4, 1, 6] and divisors.tolist() == [8, 4, 1, 2]
     with pytest.raises(BudgetExceeded):
         kloosterman_screen([1, 1], [1, 1], [5, 10**7 + 1])
-    with pytest.raises(BudgetExceeded):
-        kloosterman_screen([1], [1], [101], budget=100)
     with pytest.raises(InvalidValue):
         kloosterman_screen([1], [1], [0])
 

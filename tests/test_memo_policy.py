@@ -126,8 +126,9 @@ def test_table_memo_holds_at_most_its_byte_bound():
         assert _held_bytes(roots) <= MEMO_MAX_BYTES
     assert roots.cache_info().currsize == MEMO_MAX_BYTES // (16 << 20)
     assert roots(MEMO_MAX_ENTRIES - 7) is not first  # the oldest went first
+    assert roots.cache_info().misses == 9  # eight builds, and the rebuild of the first
     roots.cache_clear()
-    assert roots.cache_info() == (256, 0, 0)
+    assert roots.cache_info() == (0, 256, 0, 0)
 
 
 def test_table_memo_under_concurrent_eviction():

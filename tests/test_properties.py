@@ -87,9 +87,11 @@ def prime_power_cases(draw):
 
 def assert_screen_matches_scalar(cases):
     ms, ns, cs = (np.array(col, dtype=np.int64) for col in zip(*cases))
-    for (m, n, c), got in zip(cases, kloosterman_screen(ms, ns, cs)):
+    screened, phi, _ = kloosterman_screen(ms, ns, cs)
+    for (m, n, c), got, terms in zip(cases, screened, phi):
         want = kloosterman(m, n, c)
         assert abs(got - want.value) <= 1e-9 * want.terms  # the weil sweep's slack
+        assert terms == want.terms
 
 
 @PROPERTY_SETTINGS
