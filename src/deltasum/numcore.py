@@ -88,7 +88,10 @@ def reduce_mod(v, c):
     """v mod c in [0, c) for an int64 array v and an integer c > 0, in
     place: v - (v // c) * c.  numpy divides an array by a scalar through
     libdivide, but its % takes a slower path; both give the same integers
-    for any sign of v with |v| < 2**62."""
+    for any sign of v with |v| < 2**62.  Below about a thousand entries the
+    two extra calls cost more than they save, so short arrays take %."""
+    if v.size < 1024:
+        return np.remainder(v, c, out=v)
     q = v // c
     q *= c
     v -= q

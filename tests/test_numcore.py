@@ -139,7 +139,7 @@ def test_reduce_mod_equals_numpy_remainder(c):
         rng.integers(-2**62, 2**62, 4000, dtype=np.int64),  # either sign, up to 2**62
         residues * rng.integers(0, c, 4000, dtype=np.int64),  # products of residues
         -residues, np.array([0, 1, -1, c - 1, c, -c, 2**62 - 1, -2**62], dtype=np.int64)])
-    for part in (v, v[:1000], v[-8:]):
+    for part in (v, v[:1000], v[-8:]):  # long arrays, and short ones that take %
         got = reduce_mod(part.copy(), c)
         assert got.dtype == np.int64
         assert np.array_equal(got, part % c)
