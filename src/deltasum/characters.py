@@ -3,7 +3,8 @@
 A character chi mod q is stored as (q, index): with g the least primitive
 root mod q, chi(g**k) = e(index * k / (q-1)).  Index 0 is the
 principal character; mod a prime every non-principal character is
-primitive.  Evaluation goes through a per-modulus discrete-log table;
+primitive.  Evaluation goes through a per-modulus discrete-log table,
+which scatters the exponents k to the powers g**k of unit_powers(q).
 chi.eval(n) then takes the root from the reduced fraction (RationalAngle),
 while value_array() gathers it from the unit_roots(q - 1) table, which does
 not reduce j/(q-1), so the two may differ in the last bits.
@@ -12,22 +13,27 @@ row per index, with the same bits; sweeps over all characters of one
 modulus use it, while a single character (sum dsum, sum gauss) keeps its
 one row and never builds the (q-1) x q table.
 
-The discrete-log and root tables are kept in numcore.table_memo (the 256
-most recently built tables of at most 2**20 entries, and at most 64 MiB
-in each memo) and shared read-only, so characters are cheap value
-objects safe for concurrent use.  Two threads racing on a missing table
-may each build it; both builds are equal, and one of them is kept.
+unit_powers(q) lists the units of any prime power q in generator order:
+g**k for k < phi(q), or 5**j and then -5**j for q = 2**e.  It is built in
+int64 blocks g**(jB) g**i.  expsums takes its inverse tables and its Kloosterman
+rows from the same powers.  The powers, discrete-log and root tables are
+kept in numcore.table_memo (the 256 most recently built tables of at most
+2**20 entries, and at most 64 MiB in each memo) and shared read-only, so
+characters are cheap value objects safe for concurrent use.  Two threads
+racing on a missing table may each build it; both builds are equal, and
+one of them is kept.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from math import fsum
 
 import numpy as np
 
-from .errors import LimitExceeded, NotPrime
-from .numcore import RationalAngle, factorize, is_prime, table_memo
+from .errors import InvalidValue, LimitExceeded, NotPrime
+from .numcore import RationalAngle, factorize, is_prime, reduce_mod, table_memo
 
 MAX_CHARACTER_MODULUS = 10**6
 
@@ -41,15 +47,64 @@ def primitive_root(q):
     raise NotPrime(f"no primitive root mod {q}")
 
 
+def prime_power_root(p, k):
+    """A generator of the units mod p**k for an odd prime p: the least
+    primitive root g mod p, or g + p when k >= 2 and g**(p-1) = 1 mod p**2.
+    Then g + p has order p(p-1) mod p**2, and so generates the units mod
+    every power of p (the least prime where the lift is needed is 40487)."""
+    g = primitive_root(p)
+    if k >= 2 and pow(g, p - 1, p * p) == 1:
+        g += p
+    return g
+
+
+def _geometric(r, count, q):
+    """[r**i mod q for i < count] in Python ints."""
+    out = [1]
+    for _ in range(count - 1):
+        out.append(out[-1] * r % q)
+    return out
+
+
+def _powers(g, n, q):
+    """g**k mod q for k < n in int64, in blocks of B >= sqrt(n): the block
+    g**(jB + i), i < B, is g**(jB) times g**i.  Both factors are below
+    q <= 2**31, so every product is exact."""
+    block = math.isqrt(n - 1) + 1
+    small = _geometric(g, block, q)
+    big = _geometric(small[-1] * g % q, -(-n // block), q)
+    return reduce_mod(np.multiply.outer(np.array(big, dtype=np.int64),
+                                        np.array(small, dtype=np.int64)).ravel()[:n], q)
+
+
+@table_memo
+def unit_powers(q):
+    """The units mod the prime power q in generator order, memoised per
+    modulus: g**k for k < phi(q) with g = prime_power_root(p, e) for odd
+    q = p**e, and 5**j for j < phi(q)/2 followed by -5**j for q = 2**e,
+    e >= 2 (the units mod 2**e are +-1 times the cyclic group of 5)."""
+    factors = factorize(q).factors
+    if len(factors) != 1:
+        raise InvalidValue(f"{q} is not a prime power")
+    ((p, e),) = factors
+    if p == 2:
+        if e == 1:
+            powers = np.ones(1, dtype=np.int64)
+        else:
+            fives = _powers(5, q // 4, q)
+            powers = np.concatenate((fives, q - fives))
+    else:
+        powers = _powers(prime_power_root(p, e), q - q // p, q)
+    powers.setflags(write=False)
+    return powers
+
+
 @table_memo
 def discrete_log_table(q):
-    """table[x] = k with g**k = x mod q (table[0] = -1), cached per modulus."""
-    g = primitive_root(q)
+    """table[x] = k with g**k = x mod the odd prime q (table[0] = -1), the
+    positions of unit_powers(q) scattered to their values; memoised."""
     table = np.full(q, -1, dtype=np.int64)
-    acc = 1
-    for k in range(q - 1):
-        table[acc] = k
-        acc = acc * g % q
+    table[unit_powers(q)] = np.arange(q - 1)
     table.setflags(write=False)
     return table
 
@@ -115,7 +170,7 @@ class DirichletCharacter:
         dlog = discrete_log_table(q)
         roots = unit_roots(q - 1)
         vals = np.zeros(q, dtype=np.complex128)
-        vals[1:] = roots[(self.index * dlog[1:]) % (q - 1)]
+        vals[1:] = roots[reduce_mod(self.index * dlog[1:], q - 1)]
         return vals
 
 
@@ -126,7 +181,8 @@ def character_table(q):
     _check_odd_prime(q)
     dlog = discrete_log_table(q)
     table = np.zeros((q - 1, q), dtype=np.complex128)
-    table[:, 1:] = unit_roots(q - 1)[np.multiply.outer(np.arange(q - 1), dlog[1:]) % (q - 1)]
+    idx = reduce_mod(np.multiply.outer(np.arange(q - 1), dlog[1:]), q - 1)
+    table[:, 1:] = unit_roots(q - 1)[idx]
     return table
 
 

@@ -23,23 +23,32 @@ Conventions shared by every sum here:
   never trusted alone;
 * kloosterman_screen only nominates cases and none of its values is ever
   reported, so only a bound on its distance from kloosterman matters (its
-  last bits may change with numpy's SIMD level).  With eps = 2**-53, each
-  entry of an FFT row K = q * ifft(u) is within C eps log2(q) q of the
-  exact transform of u, taking C = 64 for pocketfft's radix and Bluestein
-  lengths (Bluestein runs three transforms of length below 4q and two
-  chirp products); u's phi(q) table roots add at most UNIT_EPS phi(q).
-  The p-adic descent scales an entry of the row of q' = q/p**j by
-  phi(q)/phi(q') <= q/q', so every factor is within (C eps log2 q +
-  UNIT_EPS) q.  A product of omega(c) factors, each of size at most q_i,
-  and omega - 1 complex products (sqrt(5) eps each) is then within
-  c (C eps log2 c + omega UNIT_EPS + (omega - 1) sqrt(5) eps) of S(m, n;
-  c), to first order, and kloosterman's fsum is within UNIT_EPS phi(c)
-  plus half an ulp.  For c <= 2000 (omega <= 4, c/phi(c) <= 4.375) the
-  gap is at most 3.9e-13 phi(c), for c <= 10**7 (omega <= 8, c/phi(c) <
-  5.3) at most 1e-12 phi(c): the weil sweep's slack 1e-9 phi(c) holds
-  with room.  Measured, the FFT rows of every prime power up to 2048 are
-  within 1.41 eps log2(q) q of a long-double reference, and the default
-  weil grid's gap is at most 6.0e-16 phi(c).
+  last bits may change with numpy's SIMD level).  With eps = 2**-53, a
+  transform of length n is within C eps log2(n) |x| of exact in the
+  2-norm, taking C = 64 for pocketfft's radix and Bluestein lengths
+  (Bluestein runs three transforms of length below 4n and two chirp
+  products).  For odd q the row is Rader's: f holds n = phi(q) roots
+  e(g**k/q), each within UNIT_EPS, so |F| = |fft(f)| = n and F is within
+  (C eps log2 n + UNIT_EPS) n.  Each exact F_j is a Gauss sum (or
+  mu(q) at j = 0), so |F_j| <= sqrt(q), and the square F**2 (sqrt(5) eps
+  per complex product) is within 2 sqrt(q) (C eps log2 n + UNIT_EPS) n +
+  sqrt(5) eps sqrt(q) n, with |F**2| <= sqrt(q) n.  The inverse transform
+  divides by sqrt(n) in the 2-norm and adds C eps log2 n of its input, so
+  every entry of the row is within (3 C eps log2 q + 2 UNIT_EPS + sqrt(5)
+  eps) q of S(1, a; q).  The row of q = 2**k, K = q * ifft(u) at length q,
+  is within (C eps log2 q + UNIT_EPS) q, less.  The p-adic descent scales
+  an entry of the row of q' = q/p**j by phi(q)/phi(q') <= q/q', so every
+  factor keeps the bound of its q.  A product of omega(c) factors, each
+  of size at most q_i, and omega - 1 complex products is then within
+  c (3 C eps log2 c + omega (2 UNIT_EPS + sqrt(5) eps) + (omega - 1)
+  sqrt(5) eps) of S(m, n; c), to first order, and kloosterman's fsum is
+  within UNIT_EPS phi(c) plus half an ulp.  For c <= 2000 (omega <= 4,
+  c/phi(c) <= 4.375) the gap is at most 1.2e-12 phi(c), for c <= 10**7
+  (omega <= 8, c/phi(c) < 5.3) at most 2.9e-12 phi(c): the weil sweep's
+  slack 1e-9 phi(c) holds about 350 times over.  Measured, the rows of
+  every odd prime power up to 2048 are within 0.97 eps log2(q) q of a
+  long-double reference, those of the powers of 2 within 0.56 eps log2(q)
+  q, and the default weil grid's gap is at most 5.5e-16 phi(c).
 
 The sums share one array-level layer: a gather builds a summand matrix
 with one row per parameter tuple (kloosterman_terms), and fsum_rows
@@ -63,7 +72,7 @@ from math import fsum, gcd
 
 import numpy as np
 
-from .characters import character_table, unit_roots
+from .characters import character_table, unit_powers, unit_roots
 from .errors import (
     BudgetExceeded,
     InvalidValue,
@@ -144,20 +153,16 @@ def check_rows(values, terms, est_error):
         raise LimitExceeded(_CONTRACT)
 
 
-_POW_CHUNK = 1 << 18  # bounds the temporaries of the inverse-table pass
-
-
-def _pow_mod(base, e, c):
-    """base**e mod c elementwise by square-and-multiply in int64; with
-    c <= 2**31 every product stays below 2**62."""
-    result = np.ones_like(base)
-    while e:
-        if e & 1:
-            result = reduce_mod(result * base, c)
-        e >>= 1
-        if e:
-            base = reduce_mod(base * base, c)
-    return result
+def _prime_power_inverses(q):
+    """inv[x] = x**-1 mod the prime power q for every residue x (0 at the
+    non-units).  In generator order the powers run through g**k, whose
+    inverse g**(-k) sits at position -k mod the cycle length: a reversed
+    gather of unit_powers(q), each half apart for q = 2**e (the two halves
+    are 5**j and -5**j)."""
+    cycles = unit_powers(q).reshape(2 if q % 4 == 0 else 1, -1)
+    table = np.zeros(q, dtype=np.int64)
+    table[cycles] = np.concatenate((cycles[:, :1], cycles[:, :0:-1]), axis=1)
+    return table
 
 
 @table_memo
@@ -165,23 +170,33 @@ def units_and_inverses(c):
     """(units mod c ascending, their inverses), memoised per modulus by
     numcore.table_memo.
 
-    Units come from sieving out the prime factors of c, and the inverse
-    table from one vectorised pass x**(phi(c) - 1) mod c.  For c = 1 the
-    single residue 0 counts as the unit with inverse 0, so empty-modulus
-    sums come out as a single e(0) term.
+    Units come from sieving out the prime factors of c.  The inverses of a
+    prime power come from its generator powers (_prime_power_inverses).  A
+    composite c goes by CRT: x**-1 = sum over q || c of (x mod q)**-1 e_q
+    mod c, with e_q = 1 mod q and 0 mod c/q; each term is below q c and the
+    sum below c**2 <= 2**62, so one reduction at the end is exact in int64.
+    For c = 1 the single residue 0 counts as the unit with inverse 0, so
+    empty-modulus sums come out as a single e(0) term.
     """
     check_modulus(c)
     if c == 1:
         xs = np.array([0], dtype=np.int64)
         inv = np.array([0], dtype=np.int64)
     else:
+        factors = factorize(c).factors
         mask = np.ones(c, dtype=bool)
-        for p, _ in factorize(c).factors:
+        for p, _ in factors:
             mask[::p] = False
         xs = np.flatnonzero(mask).astype(np.int64, copy=False)
-        inv = np.empty_like(xs)
-        for lo in range(0, xs.size, _POW_CHUNK):
-            inv[lo:lo + _POW_CHUNK] = _pow_mod(xs[lo:lo + _POW_CHUNK], xs.size - 1, c)
+        if len(factors) == 1:
+            inv = _prime_power_inverses(c)[xs]
+        else:
+            inv = np.zeros_like(xs)
+            for p, k in factors:
+                q = p ** k
+                r = c // q
+                inv += _prime_power_inverses(q)[reduce_mod(xs.copy(), q)] * (r * pow(r, -1, q))
+            reduce_mod(inv, c)
     xs.setflags(write=False)
     inv.setflags(write=False)
     return xs, inv
@@ -215,13 +230,30 @@ def kloosterman(m, n, c, budget=DEFAULT_BUDGET):
 
 
 def _kloosterman_unit_row(q):
-    """K[a] = S(1, a; q) for every a mod q by one FFT: substituting y = x^-1,
+    """K[a] = S(1, a; q) for every a mod the prime power q.
+
+    For odd q, Rader's reindexing over the cyclic unit group: with
+    f(k) = e(g**k/q) over the generator powers g**k of unit_powers(q),
+    S(1, g**j; q) = sum_k f(k) f(j - k), the cyclic self-convolution
+    ifft(fft(f)**2)[j] of length phi(q).  S(1, a; q) is real (x -> -x
+    conjugates it), so the inverse transform is irfft of the first half of
+    fft(f)**2.  The non-units are exact:
+    K[0] = mu(q) = -1 for a prime, and K[a] = 0 for p | a once q = p**k,
+    k >= 2.  For q = 2**k one FFT of length q: substituting y = x^-1,
     S(1, a; q) = sum over units y of e(y^-1/q) e(a y/q), so K = q * ifft(u)
     with u(y) = e(y^-1/q) on the units and 0 elsewhere."""
-    xs, inv = units_and_inverses(q)
-    u = np.zeros(q, dtype=np.complex128)
-    u[xs] = unit_roots(q)[inv]
-    return np.fft.ifft(u) * q
+    if q % 2 == 0:
+        xs, inv = units_and_inverses(q)
+        u = np.zeros(q, dtype=np.complex128)
+        u[xs] = unit_roots(q)[inv]
+        return np.fft.ifft(u) * q
+    powers = unit_powers(q)
+    f = np.fft.fft(np.exp(powers * (2j * np.pi / q)))[:powers.size // 2 + 1]
+    row = np.zeros(q, dtype=np.complex128)
+    row[powers] = np.fft.irfft(f * f, powers.size)  # K is real
+    if powers.size == q - 1:  # q prime: K[0] = S(1, 0; q) = -1
+        row[0] = -1.0
+    return row
 
 
 def _prime_power_screen(a, b, p, k, rows):
@@ -259,10 +291,11 @@ def kloosterman_screen(ms, ns, cs):
     order = np.argsort(cs, kind="stable")
     ms, ns = np.asarray(ms, dtype=np.int64)[order], np.asarray(ns, dtype=np.int64)[order]
     moduli, starts, counts = np.unique(cs[order], return_index=True, return_counts=True)
+    for c in moduli[:1].tolist() + moduli[-1:].tolist():  # the smallest first
+        check_budget(c, DEFAULT_BUDGET)
     by_prime = {}  # p -> k -> (start, count, rbar) of each modulus with p**k || c
     funcs = []  # (phi(c), d(c)) of each modulus
     for c, start, count in zip(moduli.tolist(), starts.tolist(), counts.tolist()):
-        check_budget(c, DEFAULT_BUDGET)
         phi = divisors = 1
         for p, k in factorize(c).factors:
             q = p ** k

@@ -8,6 +8,16 @@ with 32-bit outputs taken from the high half of the state.  The constants
 are fixed here (Knuth's MMIX multiplier) so that a reimplementation in any
 language reproduces the same parameter grids from the same seed.
 
+Lcg.next_u32_block(count) draws the same outputs a whole block at a time by
+jumping ahead: j steps from state s give
+
+    state_j = (A_j * s + C_j) mod 2**64,  A_j = a**j,
+    C_j = c * (a**(j-1) + ... + a + 1),
+
+with a the multiplier and c the increment.  The table of (A_j, C_j) for
+j = 1..LCG_BLOCK is built on first use by doubling: A_(m+j) = A_j A_m and
+C_(m+j) = A_j C_m + C_j.
+
 A ScanReport's canonical JSON rendering deliberately omits runtime_ms:
 re-running a suite with the same seed must produce byte-identical JSON,
 and wall time is the one field that cannot be reproducible.  The runtime
@@ -16,13 +26,17 @@ is still recorded on the object and in the CSV ledger.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass, field
 
+import numpy as np
+
 LCG_MULTIPLIER = 6364136223846793005
 LCG_INCREMENT = 1442695040888963407
 LCG_MASK = (1 << 64) - 1
+LCG_BLOCK = 1 << 12  # states per jump-ahead block of next_u32_block
 
 LEDGER_COLUMNS = ("suite", "cases", "max_deviation", "worst_witness", "passed", "runtime_ms")
 
@@ -39,11 +53,35 @@ class Lcg:
         self.state = (LCG_MULTIPLIER * self.state + LCG_INCREMENT) & LCG_MASK
         return self.state >> 32
 
+    def next_u32_block(self, count):
+        """The next count outputs of next_u32, as a uint64 array, leaving
+        state where count calls of next_u32 would.  numpy's uint64
+        products wrap mod 2**64, as the recurrence needs."""
+        steps, shifts = _jump_table()
+        out = np.empty(count, dtype=np.uint64)
+        for lo in range(0, count, LCG_BLOCK):
+            states = steps[:count - lo] * np.uint64(self.state) + shifts[:count - lo]
+            out[lo:lo + states.size] = states >> np.uint64(32)
+            self.state = int(states[-1])
+        return out
+
     def below(self, n):
         return self.next_u32() % n
 
     def choice(self, seq):
         return seq[self.below(len(seq))]
+
+
+@functools.cache
+def _jump_table():
+    """(A_j, C_j) for j = 1..LCG_BLOCK as uint64 arrays (see the module
+    docstring), built on first use."""
+    steps = np.array([LCG_MULTIPLIER], dtype=np.uint64)
+    shifts = np.array([LCG_INCREMENT], dtype=np.uint64)
+    while steps.size < LCG_BLOCK:
+        steps, shifts = (np.concatenate((steps, steps * steps[-1])),
+                         np.concatenate((shifts, steps * shifts[-1] + shifts)))
+    return steps, shifts
 
 
 @dataclass

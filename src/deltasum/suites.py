@@ -34,7 +34,7 @@ import numpy as np
 
 from . import expsums
 from .characters import DirichletCharacter, character_table, gauss_sum, unit_roots
-from .errors import InvalidValue
+from .errors import BudgetExceeded, InvalidValue
 from .exponent import minimize_max, paper_bound_problem, staged_elimination
 from .expsums import (
     ExpSumValue,
@@ -180,6 +180,10 @@ RECIPROCITY_MAX_MODULUS = 10**6  # a, b and n are drawn from 1..this
 
 
 def suite_reciprocity(trials=10**4, seed=1):
+    """Exact Q/Z reciprocity at seeded coprime (a, b) and n.  More trials
+    than expsums.DEFAULT_BUDGET raise BudgetExceeded before any draw."""
+    if trials > expsums.DEFAULT_BUDGET:
+        raise BudgetExceeded(f"{trials} trials exceed the budget {expsums.DEFAULT_BUDGET}")
     sweep = _Sweep()
     rng = Lcg(seed)
     while sweep.cases < trials:
@@ -449,17 +453,19 @@ def suite_weil(c_max=2000, pairs_per_c=20, seed=5):
     rng = Lcg(seed)
     pairs = max(pairs_per_c, 0)
     size = 2 * pairs * max(c_max, 0)
-    draws = np.fromiter((1 + rng.below(10**6) for _ in range(size)), dtype=np.int64, count=size)
+    draws = (rng.next_u32_block(size) % np.uint64(10**6)).astype(np.int64) + 1  # rng.below
     ms, ns = draws[0::2], draws[1::2]
     cs = np.repeat(np.arange(1, c_max + 1, dtype=np.int64), pairs)
     sums, phi, divisors = expsums.kloosterman_screen(ms, ns, cs)
     expsums.check_rows(sums, phi, expsums.UNIT_EPS * phi)
-    scale = divisors * np.sqrt(np.gcd(np.gcd(ms, ns), cs) * cs) + expsums.UNIT_EPS * phi
-    # 1e-9 * phi(c) bounds |screened - scalar| about 2500 times over (the
+    # gcd(m, n, c), taking the small c first: fewer Euclid steps, same integers
+    scale = divisors * np.sqrt(np.gcd(np.gcd(ms, cs), ns) * cs) + expsums.UNIT_EPS * phi
+    # 1e-9 * phi(c) bounds |screened - scalar| about 900 times over (the
     # derivation is in the expsums docstring): each of the at most 4 prime
-    # power factors of c <= 2000 is within (64 eps log2 q + UNIT_EPS) q of
-    # exact, so their product is within 8.7e-14 c <= 3.9e-13 phi(c), and
-    # weil_case's fsum of phi(c) table roots within 2.2e-15 phi(c).
+    # power factors of c <= 2000 is within (192 eps log2 q + 2 UNIT_EPS +
+    # sqrt(5) eps) q of exact, so their product is within 2.6e-13 c <=
+    # 1.2e-12 phi(c), and weil_case's fsum of phi(c) table roots within
+    # 2.2e-15 phi(c).
     sweep.offer(np.abs(sums) / scale, 1e-9 * phi / scale,
                 lambda i: (int(ms[i]), int(ns[i]), int(cs[i])), weil_case)
     return sweep.report("weil", {"c_max": c_max, "pairs_per_c": pairs_per_c, "seed": seed})

@@ -87,6 +87,19 @@ def test_budget_exceeded_exits_3(capsys):
     assert "budget" in err.lower()
 
 
+@pytest.mark.parametrize("trials", [10**7 + 1, 10**40 - 1])
+def test_reciprocity_trials_above_the_budget_exit_3_before_any_draw(capsys, monkeypatch, trials):
+    from deltasum import suites
+
+    def no_draws(seed):
+        raise AssertionError("the generator was seeded")
+
+    monkeypatch.setattr(suites, "Lcg", no_draws)
+    code, out, err = run(capsys, "verify", "reciprocity", "--trials", str(trials))
+    assert code == 3
+    assert out == "" and "exceed the budget 10000000" in err
+
+
 def test_zero_budget_is_honoured(capsys):
     code, out, err = run(capsys, "sum", "kloosterman", "--m", "1", "--n", "1",
                          "--c", "100", "--budget", "0", "--no-cache")

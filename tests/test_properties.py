@@ -1,7 +1,8 @@
 """Property-based checks of the Kloosterman and Ramanujan identities and of
 the batched kernels (kloosterman_terms, voronoi_char_sums_raw) against a
-pure-Python direct sum over the units, within identity_tolerance, and of
-kloosterman_screen against kloosterman within the weil sweep's slack."""
+pure-Python direct sum over the units, within identity_tolerance, of
+kloosterman_screen against kloosterman within the weil sweep's slack, of
+Q/Z reciprocity, and of the dsum-cancel FFT rows against d_sum."""
 
 import cmath
 import math
@@ -13,7 +14,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from deltasum.characters import DirichletCharacter
 from deltasum.expsums import (
+    UNIT_EPS,
+    d_sum,
     fsum_rows,
     identity_tolerance,
     kloosterman,
@@ -23,6 +27,8 @@ from deltasum.expsums import (
     voronoi_char_sums_closed,
     voronoi_char_sums_raw,
 )
+from deltasum.numcore import primes_between
+from deltasum.suites import _dsum_rows, reciprocity_case
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -159,3 +165,27 @@ def test_voronoi_group_rows_match_direct_sum(group_rows, ns):
             for got in (raw[i, j], closed[i, j]):
                 assert abs(got - want) <= identity_tolerance(
                     count + m * c // m_prime, abs(got), abs(want))
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(min_value=1, max_value=2**31), st.integers(min_value=1, max_value=2**31),
+       st.integers(min_value=-10**30, max_value=10**30))
+def test_reciprocity_holds_for_coprime_moduli(a, b, n):
+    # abar n/b + bbar n/a = n/(ab) in Q/Z, exactly, whenever gcd(a, b) = 1
+    assume(math.gcd(a, b) == 1)
+    assert reciprocity_case(a, b, n) == 0.0
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(primes_between(2, 301)), st.data())
+def test_dsum_rows_match_d_sum(M, data):
+    chi_index = data.draw(st.integers(min_value=1, max_value=M - 2))
+    u = data.draw(st.integers(min_value=0, max_value=M - 1))
+    got = _dsum_rows(M)[chi_index - 1, u]
+    want = d_sum(u, M, DirichletCharacter.from_index(M, chi_index))
+    # The row is |M ifft(f)| for M - 2 table roots f: an FFT of length M is
+    # within 64 eps log2(M) M of the exact transform (the constant of the
+    # expsums docstring), the roots add UNIT_EPS M, and d_sum's fsum is
+    # within its est_error.
+    bound = (64 * 2.0**-53 * math.log2(M) + UNIT_EPS) * M + want.est_error
+    assert abs(got - abs(want.value)) <= bound
