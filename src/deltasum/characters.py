@@ -15,8 +15,8 @@ one row and never builds the (q-1) x q table.
 
 unit_powers(q) lists the units of any prime power q in generator order:
 g**k for k < phi(q), or 5**j and then -5**j for q = 2**e.  It is built in
-int64 blocks g**(jB) g**i.  expsums takes its inverse tables and its Kloosterman
-rows from the same powers.  The powers, discrete-log and root tables are
+int64 blocks g**(jB) g**i.  expsums takes its inverse tables and its
+Kloosterman rows from the same powers.  The powers, discrete-log and root tables are
 kept in numcore.table_memo (the 256 most recently built tables of at most
 2**20 entries, and at most 64 MiB in each memo) and shared read-only, so
 characters are cheap value objects safe for concurrent use.  Two threads

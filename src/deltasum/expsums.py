@@ -283,40 +283,48 @@ def kloosterman_screen(ms, ns, cs):
     By twisted multiplicativity S(m, n; c) is the product over the prime
     powers q exactly dividing c of S(m rbar, n rbar; q), with r = c/q and
     rbar its inverse mod q.  Each factor is an entry of one FFT row per
-    prime power (_prime_power_screen); one prime's rows are alive at a
-    time, and rbar is taken once per modulus.  A modulus above
-    DEFAULT_BUDGET raises BudgetExceeded, one below 1 InvalidValue.
+    prime power (_prime_power_screen).  rbar is taken once per modulus;
+    the (case, prime power) pairs are then laid out in one pass, grouped
+    by prime power, so the loop runs once per prime power, and one prime's
+    rows are alive at a time.  Each case multiplies its factors in
+    ascending p.  A modulus above DEFAULT_BUDGET raises BudgetExceeded,
+    one below 1 InvalidValue.
     """
-    cs = np.asarray(cs, dtype=np.int64)
-    order = np.argsort(cs, kind="stable")
-    ms, ns = np.asarray(ms, dtype=np.int64)[order], np.asarray(ns, dtype=np.int64)[order]
-    moduli, starts, counts = np.unique(cs[order], return_index=True, return_counts=True)
+    ms, ns, cs = (np.asarray(x, dtype=np.int64) for x in (ms, ns, cs))
+    moduli, which = np.unique(cs, return_inverse=True)
     for c in moduli[:1].tolist() + moduli[-1:].tolist():  # the smallest first
         check_budget(c, DEFAULT_BUDGET)
-    by_prime = {}  # p -> k -> (start, count, rbar) of each modulus with p**k || c
+    factors = []  # (p, k, modulus, rbar) of every p**k || c of every modulus
     funcs = []  # (phi(c), d(c)) of each modulus
-    for c, start, count in zip(moduli.tolist(), starts.tolist(), counts.tolist()):
+    for j, c in enumerate(moduli.tolist()):
         phi = divisors = 1
         for p, k in factorize(c).factors:
             q = p ** k
             phi, divisors = phi * (q - q // p), divisors * (k + 1)
-            by_prime.setdefault(p, {}).setdefault(k, []).append(
-                (start, count, pow(c // q, -1, q)))
+            factors.append((p, k, j, pow(c // q, -1, q)))
         funcs.append((phi, divisors))
+    factors.sort()  # by prime, then exponent
+    p, k, j, rbar = np.array(factors, dtype=np.int64).reshape(-1, 4).T
+    # one entry per case and prime power of its modulus, factor by factor
+    per_modulus = np.bincount(which, minlength=moduli.size)
+    counts = per_modulus[j]
+    entry = np.repeat(np.arange(p.size), counts)
+    head = np.cumsum(counts) - counts  # the first entry of each factor
+    first_case = (np.cumsum(per_modulus) - per_modulus)[j]
+    case = np.argsort(which, kind="stable")[
+        first_case[entry] + np.arange(entry.size) - head[entry]]
+    q, rbar = (p ** k)[entry], rbar[entry]
+    a = ms[case] % q * rbar % q
+    b = ns[case] % q * rbar % q
+    groups = np.flatnonzero(np.diff(p, prepend=0) | np.diff(k, prepend=0))  # each (p, k)
+    bounds = np.append(head[groups], entry.size).tolist()
     out = np.ones(cs.size, dtype=np.complex128)
-    for p in sorted(by_prime):
-        rows = {}
-        for k, moduli_k in by_prime[p].items():
-            start, count, rbar = (np.array(col, dtype=np.int64) for col in zip(*moduli_k))
-            # the case rows of every modulus, each a run start .. start + count - 1
-            idx = np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
-            rbar = np.repeat(rbar, count)
-            q = p ** k
-            a = reduce_mod(reduce_mod(ms[idx], q) * rbar, q)
-            b = reduce_mod(reduce_mod(ns[idx], q) * rbar, q)
-            out[idx] *= _prime_power_screen(a, b, p, k, rows)
-    out[order] = out.copy()
-    funcs = np.array(funcs, dtype=np.int64).reshape(-1, 2)[np.searchsorted(moduli, cs)]
+    rows, last = {}, None
+    for lo, hi, prime, e in zip(bounds, bounds[1:], p[groups].tolist(), k[groups].tolist()):
+        if prime != last:
+            rows, last = {}, prime
+        out[case[lo:hi]] *= _prime_power_screen(a[lo:hi], b[lo:hi], prime, e, rows)
+    funcs = np.array(funcs, dtype=np.int64).reshape(-1, 2)[which]
     return out, funcs[:, 0], funcs[:, 1]
 
 
