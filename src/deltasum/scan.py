@@ -81,6 +81,8 @@ def _jump_table():
     while steps.size < LCG_BLOCK:
         steps, shifts = (np.concatenate((steps, steps * steps[-1])),
                          np.concatenate((shifts, steps * shifts[-1] + shifts)))
+    steps.setflags(write=False)
+    shifts.setflags(write=False)
     return steps, shifts
 
 
