@@ -5,23 +5,18 @@ root mod q, chi(g**k) = e(index * k / (q-1)).  Index 0 is the
 principal character; mod a prime every non-principal character is
 primitive.  Evaluation goes through a per-modulus discrete-log table,
 which scatters the exponents k to the powers g**k of unit_powers(q).
-chi.eval(n) then takes the root from the reduced fraction (RationalAngle),
-while value_array() gathers it from the unit_roots(q - 1) table, which does
-not reduce j/(q-1), so the two may differ in the last bits.
-character_table(q) gathers every character's value_array() at once, one
-row per index, with the same bits; sweeps over all characters of one
-modulus use it, while a single character (sum dsum, sum gauss) keeps its
-one row and never builds the (q-1) x q table.
+chi.eval(n) then takes the root from the reduced fraction (RationalAngle).
+Arrays of values come from one gather, _character_rows, whose row for
+index a holds unit_roots(q - 1)[a * dlog[x] mod (q - 1)] at each unit x;
+the fraction is not reduced, so it may differ from eval in the last bits.
+character_table(q) calls it on every index and value_array() on one, so
+a single character never builds the (q-1) x q table.
 
-unit_powers(q) lists the units of any prime power q in generator order:
-g**k for k < phi(q), or 5**j and then -5**j for q = 2**e.  It is built in
-int64 blocks g**(jB) g**i.  expsums takes its inverse tables and its
-Kloosterman rows from the same powers.  The powers, discrete-log and root tables are
-kept in numcore.table_memo (the 256 most recently built tables of at most
-2**20 entries, and at most 64 MiB in each memo) and shared read-only, so
-characters are cheap value objects safe for concurrent use.  Two threads
-racing on a missing table may each build it; both builds are equal, and
-one of them is kept.
+unit_powers(q) lists the units of any prime power q in generator order;
+expsums takes its inverse tables and its Kloosterman rows from the same
+powers.  The powers, discrete-log and root tables are kept in
+numcore.table_memo, whose docstring states its bounds, and shared
+read-only, so characters are cheap value objects safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -165,25 +160,25 @@ class DirichletCharacter:
         return -1 if self.index % 2 else 1
 
     def value_array(self):
-        """chi at every residue 0..q-1 as a complex array (chi(0) = 0)."""
-        q = self.modulus
-        dlog = discrete_log_table(q)
-        roots = unit_roots(q - 1)
-        vals = np.zeros(q, dtype=np.complex128)
-        vals[1:] = roots[reduce_mod(self.index * dlog[1:], q - 1)]
-        return vals
+        """chi at every residue 0..q-1 (chi(0) = 0): one row of character_table's gather."""
+        return _character_rows(self.modulus, [self.index])[0]
+
+
+def _character_rows(q, indices):
+    """chi at residues 0..q-1 of each index's character mod the odd prime q, a row each."""
+    dlog = discrete_log_table(q)
+    rows = np.zeros((len(indices), q), dtype=np.complex128)
+    idx = reduce_mod(np.multiply.outer(np.asarray(indices, dtype=np.int64), dlog[1:]), q - 1)
+    rows[:, 1:] = unit_roots(q - 1)[idx]
+    return rows
 
 
 def character_table(q):
     """chi at every residue 0..q-1 for every character mod the odd prime q,
     as a (q-1) x q complex array: row a is DirichletCharacter(q, a).value_array(),
-    bit for bit, since it gathers the same unit_roots(q - 1) entries."""
+    bit for bit, since both are calls of the one gather."""
     _check_odd_prime(q)
-    dlog = discrete_log_table(q)
-    table = np.zeros((q - 1, q), dtype=np.complex128)
-    idx = reduce_mod(np.multiply.outer(np.arange(q - 1), dlog[1:]), q - 1)
-    table[:, 1:] = unit_roots(q - 1)[idx]
-    return table
+    return _character_rows(q, np.arange(q - 1))
 
 
 def enumerate_characters(q):

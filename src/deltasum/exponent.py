@@ -27,9 +27,17 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import Infeasible, InfeasiblePoint, InvalidValue, ShapeMismatch, Unbounded
+from .errors import (
+    BudgetExceeded,
+    Infeasible,
+    InfeasiblePoint,
+    InvalidValue,
+    ShapeMismatch,
+    Unbounded,
+)
 
 VARS = ("xP", "xL", "th")
+MAX_CANDIDATES = 10**5  # systems per enumeration: C(40, 4) = 91,390 passes, about 2 s
 
 
 @dataclass(frozen=True)
@@ -84,7 +92,7 @@ class BoundProblem:
         Infeasible if there is none."""
         rows = _integer_rows((con.a, con.b, con.c, con.bound) for con in self.constraints)
         rows += [[*pin, 0] for pin in _pins(rows)]
-        for combo in itertools.combinations(rows, 3):
+        for combo in _candidates(rows, 3):
             sol = _solve_square(combo)
             if sol is not None and _satisfies(rows, *sol):
                 nums, det = sol
@@ -163,6 +171,15 @@ def _pins(rows):
                         for row in m[rank + 1:]]
         rank += 1
     return pins
+
+
+def _candidates(rows, k):
+    """The k-row systems (about 20 us each), or BudgetExceeded above MAX_CANDIDATES."""
+    count = math.comb(len(rows), k)
+    if count > MAX_CANDIDATES:
+        raise BudgetExceeded(f"{len(rows)} rows give {count} candidate vertices, "
+                             f"above the bound of {MAX_CANDIDATES}")
+    return itertools.combinations(rows, k)
 
 
 def _solve_square(rows):
@@ -248,7 +265,7 @@ def minimize_max(prob):
     rows += [[*pin, 0, 0] for pin in _pins(rows)]
 
     best = None  # (nums, det) of the first vertex with the least t = nums[3] / det
-    for combo in itertools.combinations(rows, 4):
+    for combo in _candidates(rows, 4):
         sol = _solve_square(combo)
         if sol is None:
             continue

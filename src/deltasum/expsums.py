@@ -24,31 +24,31 @@ Conventions shared by every sum here:
 * kloosterman_screen only nominates cases and none of its values is ever
   reported, so only a bound on its distance from kloosterman matters (its
   last bits may change with numpy's SIMD level).  With eps = 2**-53, a
-  transform of length n is within C eps log2(n) |x| of exact in the
-  2-norm, taking C = 64 for pocketfft's radix and Bluestein lengths
-  (Bluestein runs three transforms of length below 4n and two chirp
-  products).  For odd q the row is Rader's: f holds n = phi(q) roots
-  e(g**k/q), each within UNIT_EPS, so |F| = |fft(f)| = n and F is within
-  (C eps log2 n + UNIT_EPS) n.  Each exact F_j is a Gauss sum (or
-  mu(q) at j = 0), so |F_j| <= sqrt(q), and the square F**2 (sqrt(5) eps
-  per complex product) is within 2 sqrt(q) (C eps log2 n + UNIT_EPS) n +
-  sqrt(5) eps sqrt(q) n, with |F**2| <= sqrt(q) n.  The inverse transform
-  divides by sqrt(n) in the 2-norm and adds C eps log2 n of its input, so
-  every entry of the row is within (3 C eps log2 q + 2 UNIT_EPS + sqrt(5)
-  eps) q of S(1, a; q).  The row of q = 2**k, K = q * ifft(u) at length q,
-  is within (C eps log2 q + UNIT_EPS) q, less.  The p-adic descent scales
-  an entry of the row of q' = q/p**j by phi(q)/phi(q') <= q/q', so every
-  factor keeps the bound of its q.  A product of omega(c) factors, each
-  of size at most q_i, and omega - 1 complex products is then within
+  transform of size n is within C eps log2(n) |x| of exact in the 2-norm,
+  taking C = 64 for pocketfft's radix and Bluestein lengths (Bluestein
+  runs three transforms of length below 4n and two chirp products); an
+  n-D transform runs one along each axis, and the log2 of the sizes sum.
+  Every prime power's row is Rader's: f holds n = phi(q) roots e(x/q)
+  over the units x, each within UNIT_EPS, so |F| = |fftn(f)| = n and F
+  is within (C eps log2 n + UNIT_EPS) n.  Each exact F_j is a Gauss sum
+  of a character of the unit group, so |F_j| <= sqrt(q), and the square
+  F**2 (sqrt(5) eps per complex product) is within 2 sqrt(q) (C eps
+  log2 n + UNIT_EPS) n + sqrt(5) eps sqrt(q) n, with |F**2| <= sqrt(q) n.
+  The inverse transform divides by sqrt(n) in the 2-norm and adds C eps
+  log2 n of its input, so every entry of the row is within (3 C eps
+  log2 q + 2 UNIT_EPS + sqrt(5) eps) q of S(1, a; q).  The p-adic descent
+  scales an entry of the row of q' = q/p**j by phi(q)/phi(q') <= q/q', so
+  every factor keeps the bound of its q.  A product of omega(c) factors,
+  each of size at most q_i, and omega - 1 complex products is then within
   c (3 C eps log2 c + omega (2 UNIT_EPS + sqrt(5) eps) + (omega - 1)
   sqrt(5) eps) of S(m, n; c), to first order, and kloosterman's fsum is
   within UNIT_EPS phi(c) plus half an ulp.  For c <= 2000 (omega <= 4,
   c/phi(c) <= 4.375) the gap is at most 1.2e-12 phi(c), for c <= 10**7
   (omega <= 8, c/phi(c) < 5.3) at most 2.9e-12 phi(c): the weil sweep's
-  slack 1e-9 phi(c) holds about 350 times over.  Measured, the rows of
-  every odd prime power up to 2048 are within 0.97 eps log2(q) q of a
-  long-double reference, those of the powers of 2 within 0.56 eps log2(q)
-  q, and the default weil grid's gap is at most 5.5e-16 phi(c).
+  slack 1e-9 phi(c) holds about 350 times over.  Measured against a
+  long-double reference, the rows of the odd prime powers up to 2048 are
+  within 0.97 eps log2(q) q and those of the powers of 2 within 0.34, and
+  the default weil grid's gap is at most 5.9e-16 phi(c).
 
 The sums share one array-level layer: a gather builds a summand matrix
 with one row per parameter tuple (kloosterman_terms), and fsum_rows
@@ -56,9 +56,7 @@ reduces each row.  The block kernels evaluate one parameter group at
 once: voronoi_char_sums_raw/_closed one (m, m', c, d) for many (r, ell, M)
 rows and n, psi_average_sums_raw/_closed one (c, p, M) for many (r, m).
 The scalar functions are their one-entry calls, so a block entry has the
-scalar value's bits.  psi_average_sums_raw takes its odd characters from
-characters.character_table, which holds every character's value_array()
-of one modulus, bit for bit.  Sweeps may locate their worst case with an
+scalar value's bits.  Sweeps may locate their worst case with an
 approximate kernel (kloosterman_screen, one FFT row per prime power), but
 it only picks candidates: every number that is reported still comes from
 the scalar function, with the reduction stated above.
@@ -66,7 +64,6 @@ the scalar function, with the reduction stated above.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from math import fsum, gcd
 
@@ -155,13 +152,13 @@ def check_rows(values, terms, est_error):
 
 def _prime_power_inverses(q):
     """inv[x] = x**-1 mod the prime power q for every residue x (0 at the
-    non-units).  In generator order the powers run through g**k, whose
-    inverse g**(-k) sits at position -k mod the cycle length: a reversed
-    gather of unit_powers(q), each half apart for q = 2**e (the two halves
-    are 5**j and -5**j)."""
-    cycles = unit_powers(q).reshape(2 if q % 4 == 0 else 1, -1)
+    non-units).  unit_powers(q) is laid out as the unit group: one cycle
+    g**k for odd q (and q = 2), and for q = 2**e, e >= 2, two rows 5**j and
+    -5**j.  The inverse of g**k sits at -k mod the cycle length: a reversed
+    gather along the last axis."""
+    cycles = unit_powers(q).reshape((2, -1) if q % 4 == 0 else -1)
     table = np.zeros(q, dtype=np.int64)
-    table[cycles] = np.concatenate((cycles[:, :1], cycles[:, :0:-1]), axis=1)
+    table[cycles] = np.concatenate((cycles[..., :1], cycles[..., :0:-1]), axis=-1)
     return table
 
 
@@ -232,26 +229,19 @@ def kloosterman(m, n, c, budget=DEFAULT_BUDGET):
 def _kloosterman_unit_row(q):
     """K[a] = S(1, a; q) for every a mod the prime power q.
 
-    For odd q, Rader's reindexing over the cyclic unit group: with
-    f(k) = e(g**k/q) over the generator powers g**k of unit_powers(q),
-    S(1, g**j; q) = sum_k f(k) f(j - k), the cyclic self-convolution
-    ifft(fft(f)**2)[j] of length phi(q).  S(1, a; q) is real (x -> -x
-    conjugates it), so the inverse transform is irfft of the first half of
-    fft(f)**2.  The non-units are exact:
-    K[0] = mu(q) = -1 for a prime, and K[a] = 0 for p | a once q = p**k,
-    k >= 2.  For q = 2**k one FFT of length q: substituting y = x^-1,
-    S(1, a; q) = sum over units y of e(y^-1/q) e(a y/q), so K = q * ifft(u)
-    with u(y) = e(y^-1/q) on the units and 0 elsewhere."""
-    if q % 2 == 0:
-        xs, inv = units_and_inverses(q)
-        u = np.zeros(q, dtype=np.complex128)
-        u[xs] = unit_roots(q)[inv]
-        return np.fft.ifft(u) * q
-    powers = unit_powers(q)
-    f = np.fft.fft(np.exp(powers * (2j * np.pi / q)))[:powers.size // 2 + 1]
+    Rader's reindexing over the unit group, laid out as in
+    _prime_power_inverses (Z/phi(q), or Z/2 x Z/(q/4) for 2**k): the units
+    are h(k) with h(k) h(k') = h(k + k').  With f(k) = e(h(k)/q),
+    S(1, h(k); q) = sum over k' of f(k') f(k - k'), the cyclic
+    self-convolution ifftn(fftn(f)**2) over the layout's axes.  It is real
+    (x -> -x conjugates it), so the inverse is irfftn of the first half of
+    fftn(f)**2.  The non-units are exact: K[0] = mu(q) = -1 for a prime
+    (q = 2 included), and K[a] = 0 for p | a once q = p**k, k >= 2."""
+    cycles = unit_powers(q).reshape((2, -1) if q % 4 == 0 else -1)
+    f = np.fft.fftn(np.exp(cycles * (2j * np.pi / q)))[..., :cycles.shape[-1] // 2 + 1]
     row = np.zeros(q, dtype=np.complex128)
-    row[powers] = np.fft.irfft(f * f, powers.size)  # K is real
-    if powers.size == q - 1:  # q prime: K[0] = S(1, 0; q) = -1
+    row[cycles] = np.fft.irfftn(f * f, cycles.shape, range(cycles.ndim))  # K is real
+    if cycles.size == q - 1:  # q prime: K[0] = S(1, 0; q) = -1
         row[0] = -1.0
     return row
 
@@ -406,15 +396,6 @@ class PsiAverageParams:
         _check_psi_average(((self.r, self.m),), self.c, self.p, self.M)
 
 
-@functools.lru_cache(maxsize=64)
-def _odd_character_table(p):
-    """psi(x) for x = 0..p-1, one row per odd character mod p, by index
-    (the odd indices, since psi(-1) = (-1)**index)."""
-    table = character_table(p)[1::2].copy()
-    table.setflags(write=False)
-    return table
-
-
 def psi_average_sums_raw(pairs, c, p, M):
     """psi_average_raw at every (r, m) of pairs, at one (c, p, M): a list
     of ExpSumValue in the order of pairs.
@@ -429,7 +410,7 @@ def psi_average_sums_raw(pairs, c, p, M):
     c_total = c * p * M
     summands = kloosterman_terms([r for r, _ in pairs], [m for _, m in pairs], c_total)
     xs, _ = units_and_inverses(c_total)
-    psi = _odd_character_table(p)[:, xs % p]
+    psi = character_table(p)[1::2, xs % p]  # the odd characters: psi(-1) = (-1)**index
     row_est = 2 * UNIT_EPS * xs.size  # twisted_kloosterman's bound for one character
     count = (p - 1) * xs.size
     blocks = [fsum_rows(psi * row) for row in summands]

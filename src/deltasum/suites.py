@@ -92,12 +92,15 @@ class _Sweep:
     def offer(self, devs, slacks, witness_of, case_fn):
         start = self.cases
         # Case j's scalar deviation is at least devs[j] - slacks[j], so the
-        # running worst before case i is at least floor[i]; only a case with
-        # devs[i] > floor[i] - slacks[i] can raise it.
-        floor = np.fmax.accumulate(np.concatenate(([self.worst], devs[:-1] - slacks[:-1])))
-        nominated = devs > floor[:devs.size] - slacks
-        nominated[:1] |= start == 0  # the first case offered always sets the witness
-        for i in np.flatnonzero(nominated).tolist():
+        # running worst before case i is at least floor[i] >= worst; only a
+        # case with devs[i] > floor[i] - slacks[i] can raise it, and only
+        # cases with devs > worst - slacks can pass that or raise floor.
+        maybe = devs > self.worst - slacks
+        maybe[:1] |= start == 0  # the first case offered always sets the witness
+        idx = np.flatnonzero(maybe)
+        d, s = devs[idx], slacks[idx]
+        floor = np.fmax.accumulate(np.concatenate(([self.worst], d[:-1] - s[:-1])))
+        for i in idx[(d > floor - s) | (idx + start == 0)].tolist():
             if devs[i] > self.worst - slacks[i] or start + i == 0:
                 witness = witness_of(i)
                 self.add(witness, case_fn(*witness))
@@ -460,12 +463,8 @@ def suite_weil(c_max=2000, pairs_per_c=20, seed=5):
     expsums.check_rows(sums, phi, expsums.UNIT_EPS * phi)
     # gcd(m, n, c), taking the small c first: fewer Euclid steps, same integers
     scale = divisors * np.sqrt(np.gcd(np.gcd(ms, cs), ns) * cs) + expsums.UNIT_EPS * phi
-    # 1e-9 * phi(c) bounds |screened - scalar| about 900 times over (the
-    # derivation is in the expsums docstring): each of the at most 4 prime
-    # power factors of c <= 2000 is within (192 eps log2 q + 2 UNIT_EPS +
-    # sqrt(5) eps) q of exact, so their product is within 2.6e-13 c <=
-    # 1.2e-12 phi(c), and weil_case's fsum of phi(c) table roots within
-    # 2.2e-15 phi(c).
+    # 1e-9 * phi(c) bounds |screened - scalar| with room: the derivation
+    # is in the expsums docstring.
     sweep.offer(np.abs(sums) / scale, 1e-9 * phi / scale,
                 lambda i: (int(ms[i]), int(ns[i]), int(cs[i])), weil_case)
     return sweep.report("weil", {"c_max": c_max, "pairs_per_c": pairs_per_c, "seed": seed})
@@ -483,8 +482,12 @@ def _dsum_rows(M):
 
     D(u) = sum_t f[t] e(tu/M) with f[(b^-1 - 1) mod M] = conj(chi)(b - 1),
     so the row of values over u is M * ifft(f): one character table and
-    one 2-D transform along the rows.  This only locates the maximum; the
-    reported witness is re-evaluated through d_sum itself.
+    one 2-D transform along the rows.  It only nominates cases: f holds
+    M - 2 table roots, each within UNIT_EPS, so |f| <= sqrt(M) in the
+    2-norm, and M * ifft(f) is within (64 eps log2(M) + UNIT_EPS) M of the
+    exact D (eps = 2**-53, with the transform constant of the expsums
+    docstring).  d_sum is within its est_error, 2 UNIT_EPS (M - 2), so the
+    two moduli differ by at most (64 eps log2(M) + UNIT_EPS) M + 2 UNIT_EPS (M - 2).
     """
     _, inv = units_and_inverses(M)
     bs = np.arange(2, M)
@@ -497,12 +500,15 @@ DSUM_CEILING = 4.0  # the pass ceiling of |D(u; M)| / sqrt(M)
 
 
 def suite_dsum_cancel(M_max=300):
+    """_dsum_rows screens every (chi, u != 0) of a prime M, in grid order,
+    with its distance bound over sqrt(M) as slack."""
     sweep = _Sweep()
     for M in primes_between(2, M_max + 1):
-        rows = _dsum_rows(M)[:, 1:]  # drop u = 0
-        chi_row, u_col = divmod(int(np.argmax(rows)), M - 1)
-        witness = (M, chi_row + 1, u_col + 1)
-        sweep.add(witness, dsum_cancel_case(*witness), count=rows.size)
+        devs = (_dsum_rows(M)[:, 1:] / math.sqrt(M)).ravel()  # drop u = 0
+        slack = ((64 * 2.0**-53 * math.log2(M) + expsums.UNIT_EPS) * M
+                 + 2 * expsums.UNIT_EPS * (M - 2)) / math.sqrt(M)
+        sweep.offer(devs, np.full(devs.size, slack),
+                    lambda i, M=M: (M, i // (M - 1) + 1, i % (M - 1) + 1), dsum_cancel_case)
     return sweep.report("dsum-cancel", {"M_max": M_max, "ceiling": DSUM_CEILING},
                         ceiling=DSUM_CEILING)
 

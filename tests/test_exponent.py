@@ -1,11 +1,22 @@
 import itertools
+import math
+import time
 from fractions import Fraction
 
 import pytest
 
+from deltasum import exponent
 from deltasum.cli import main
-from deltasum.errors import Infeasible, InfeasiblePoint, OutOfRange, ShapeMismatch, Unbounded
+from deltasum.errors import (
+    BudgetExceeded,
+    Infeasible,
+    InfeasiblePoint,
+    OutOfRange,
+    ShapeMismatch,
+    Unbounded,
+)
 from deltasum.exponent import (
+    MAX_CANDIDATES,
     BoundProblem,
     OptimizationResult,
     _integer_rows,
@@ -364,6 +375,55 @@ def test_optimize_problem_without_a_vertex(capsys, tmp_path, text, code, output)
     assert main(["optimize", "--problem", str(path), "--exact", "--no-cache"]) == code
     captured = capsys.readouterr()
     assert (captured.out if code == 0 else captured.err) == output
+
+
+# The enumeration bound: at most MAX_CANDIDATES square systems, counted
+# before the first solve.
+
+class _Solved(Exception):
+    """Raised in place of the first solve: the bound let the problem through."""
+
+
+def _no_solve(monkeypatch):
+    def first_solve(_):
+        raise _Solved
+    monkeypatch.setattr(exponent, "_solve_square", first_solve)
+
+
+def _rows(count):
+    """count rows (a, b, c, d) whose first three columns have rank 3, so no
+    variable is pinned and the rows are all the candidates."""
+    return [(i % 5 - 2, i % 3 - 1, i % 7 - 3, Fraction(i, 97)) for i in range(count)]
+
+
+@pytest.mark.parametrize("count, solved", [(40, True), (41, False)])
+def test_minimize_max_bounds_its_candidates_before_any_solve(monkeypatch, count, solved):
+    assert (math.comb(count, 4) <= MAX_CANDIDATES) == solved
+    _no_solve(monkeypatch)
+    prob = BoundProblem(tuple(form(d, a, b, c) for a, b, c, d in _rows(count)), ())
+    with pytest.raises(_Solved if solved else BudgetExceeded):
+        minimize_max(prob)
+
+
+@pytest.mark.parametrize("count, solved", [(85, True), (86, False)])  # C(85, 3) = 98,770
+def test_check_feasibility_bounds_its_candidates_before_any_solve(monkeypatch, count, solved):
+    _no_solve(monkeypatch)
+    prob = BoundProblem((form(0),), tuple(constraint(*row) for row in _rows(count)))
+    with pytest.raises(_Solved if solved else BudgetExceeded):
+        prob.check_feasibility()
+
+
+def test_optimize_problem_above_the_bound_exits_3(capsys, tmp_path):
+    # 35 forms and the paper's six constraints: C(41, 4) = 101,270 systems
+    path = tmp_path / "large.prob"
+    forms = [f"form: {d} + {a}*xP + {b}*xL + {c}*th" for a, b, c, d in _rows(35)]
+    constraints = [line for line in PROBLEM_TEXT.splitlines() if line.startswith("st:")]
+    path.write_text("\n".join(forms + constraints) + "\n")
+    start = time.perf_counter()
+    assert main(["optimize", "--problem", str(path), "--no-cache"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "error: 41 rows give 101270 candidate vertices, above the bound of 100000\n")
 
 
 if st is not None:

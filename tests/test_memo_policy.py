@@ -2,8 +2,10 @@
 unbounded memo (functools.cache, or lru_cache(maxsize=None)) on a function
 that takes arguments grows for the life of the process; one on a function
 without arguments holds a single value and is allowed.  The per-modulus
-tables are bounded in bytes too: numcore.table_memo memoises none above
-MEMO_MAX_ENTRIES entries, and holds at most MEMO_MAX_BYTES."""
+tables are bounded in bytes too: they go only through numcore.table_memo,
+which memoises none above MEMO_MAX_ENTRIES entries and holds at most
+MEMO_MAX_BYTES, so the modules that build them (characters, expsums) use
+no functools memo at all."""
 
 import ast
 import pathlib
@@ -73,6 +75,30 @@ def test_memo_check_sees_every_unbounded_form():
         "g = functools.lru_cache(maxsize=8)(len)\n")
     assert list(_unbounded_memos(tree)) == [
         "a", "b", "c", "d", "functools.lru_cache(maxsize=None)(len)", "cache(len)"]
+
+
+FUNCTOOLS_MEMOS = {"lru_cache", "cache", "cached_property"}
+
+
+def _functools_memos(tree):
+    """Every use of a functools memo in a module, as source text."""
+    return [ast.unparse(node) for node in ast.walk(tree) if _name(node) in FUNCTOOLS_MEMOS]
+
+
+@pytest.mark.parametrize("module", ["characters.py", "expsums.py"])
+def test_per_modulus_tables_go_only_through_table_memo(module):
+    # an lru_cache counts entries, not bytes: 64 tables of (p - 1) p / 2
+    # complex values hold about 4.6 GB at p = 3001
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    assert _functools_memos(tree) == []
+
+
+def test_functools_memo_check_sees_decorators_and_wrappers():
+    tree = ast.parse("@functools.lru_cache(maxsize=64)\ndef a(p): pass\n"
+                     "@cache\ndef b(p): pass\n"
+                     "c = lru_cache(8)(len)\n"
+                     "@table_memo\ndef d(p): pass\n")
+    assert sorted(_functools_memos(tree)) == ["cache", "functools.lru_cache", "lru_cache"]
 
 
 # The per-modulus tables go through numcore.table_memo, which keeps only

@@ -9,6 +9,16 @@ perfbench/meta.json's suite_sha256); and the integral bits with the
 panel-by-panel recursive quadrature and scalar Bessel calls, before the
 level-synchronous batched loop replaced them; a faster path must not move
 a single byte of any report or a single bit of any integral.
+
+One exception, re-pinned on purpose: `dsum-cancel` (smoke and default).
+Its sweep used to re-evaluate only the argmax of its FFT screen per
+modulus, which is not always the case-by-case maximum, since the screen
+may misorder cases that lie within its rounding of each other.  It now
+nominates through _Sweep.offer like the other screened suites, and both
+pins were re-recorded; only max_deviation and worst_witness moved, to the
+case-by-case values (smoke (31, 2, 2) -> (31, 28, 29), default
+(173, 48, 66) -> (173, 124, 107)), so the default pin no longer equals
+perfbench/meta.json's entry for dsum-cancel.
 """
 
 import hashlib
@@ -27,7 +37,7 @@ SMOKE_REPORT_SHA256 = {
     "c2": "0d649cf57803c0124c70d5eb503fea27ce51ad6c02bbd52539e1ec2523fc6253",
     "c3": "277eb359b5b7de03e71173ee2ef7506f3f8688b1eb7cd0cd1abcb492e2a67e52",
     "c4": "f3b602f0b43e9fbd083f5c178ad089717798e272b55894c68eb44c8157beb82c",
-    "dsum-cancel": "719fefb1463e45893722cd4a31477e1c45500519efe05b2c61268f1c48beec95",
+    "dsum-cancel": "001865dcbf14f3cc248a26145a2380344b01419a3b9a78c10073308c9eb941d4",
     "exponent": "efe510abe394d6b569d7f6ce1c42d29e3295892aaeb3c35f3960616a13b60017",
     "psi-average": "7151376cec47218f4c14afe75002d84d5a0aa7037cfdb7dbccd19f99c3b2d913",
     "reciprocity": "eae54e6dd95f7ea6e43010eac45844ca0b9285b8ba3e6430310cc59fb58cc3c7",
@@ -43,7 +53,7 @@ DEFAULT_REPORT_SHA256 = {
     "c2": "a36f24660cc47b435499c6e614f866e67817b545c4830726f1d4359da3f1b544",
     "c3": "ba232c9739679f75cbd1ab43c7b793766a1b7f70f43ed8d333b21a56f8db1cf9",
     "c4": "377d72ecbce2d7a75a21206c143708bdea697d8082703f6e4da80b93f9834fa5",
-    "dsum-cancel": "3cb82fb73b91aee2a64b2038be1fd6574dcdc9874e31a7b91cb0dbbd3a0cc8ed",
+    "dsum-cancel": "ba19979c2b41d4766893a3686650fa9222f04ab0f40a12fb99fcf72660b00ab9",
     "exponent": "efe510abe394d6b569d7f6ce1c42d29e3295892aaeb3c35f3960616a13b60017",
     "psi-average": "3cce5d3bdfe8b2600b040b63c957dac0dd4971a173867ecce5b70ffd12cd1e45",
     "reciprocity": "c67caf58f1b4dfe71d0d573baa90a702e9be3038488897e73eb513c6503696b8",

@@ -419,3 +419,27 @@ def test_dsum_rows_match_one_transform_per_character():
             f[t_idx] = np.conj(chi.value_array())[bs - 1]
             rows[row] = np.fft.ifft(f) * M
         assert _dsum_rows(M).tobytes() == np.abs(rows).tobytes(), M
+
+
+def test_dsum_sweep_matches_case_by_case_reference(monkeypatch):
+    offers = []
+    real_offer = _Sweep.offer
+
+    def recording_offer(self, devs, slacks, witness_of, case_fn):
+        offers.append((devs.copy(), slacks.copy()))
+        real_offer(self, devs, slacks, witness_of, case_fn)
+
+    monkeypatch.setattr(_Sweep, "offer", recording_offer)
+    report = run_suite("dsum-cancel", preset="smoke")
+    worst, witness, devs = 0.0, None, []
+    for M in primes_between(2, SMOKE_OVERRIDES["dsum-cancel"]["M_max"] + 1):
+        for chi_index in range(1, M - 1):
+            for u in range(1, M):
+                devs.append(dsum_cancel_case(M, chi_index, u))
+                if witness is None or devs[-1] > worst:
+                    worst, witness = devs[-1], (M, chi_index, u)
+    assert (report.max_deviation, tuple(report.worst_witness)) == (worst, witness)
+    assert report.cases == len(devs) == 15470
+    # the screen is offered in the loop's order, each value within its slack
+    screened, slacks = (np.concatenate(x) for x in zip(*offers))
+    assert np.all(np.abs(screened - np.array(devs)) <= slacks)

@@ -135,7 +135,9 @@ def test_composite_inverses_go_through_every_prime_power():
 # ----------------------------------------------------------- Rader rows
 
 def _bluestein_row(q):
-    """K[a] = S(1, a; q) by one FFT of length q over the inverse table."""
+    """K[a] = S(1, a; q) by one FFT of length q over the inverse table: with
+    y = x^-1, S(1, a; q) = sum over units y of e(y^-1/q) e(a y/q).  The
+    reference for every prime power's Rader row, 2**k included."""
     xs, inv = units_and_inverses(q)
     u = np.zeros(q, dtype=np.complex128)
     u[xs] = unit_roots(q)[inv]
@@ -150,9 +152,9 @@ def _row_bound(q):
 
 def test_rader_rows_match_the_length_q_transform_and_the_scalar_sum():
     rng = Lcg(61)
-    for q, p, k in _prime_powers(2048):
-        if p == 2:
-            continue
+    powers = _prime_powers(2048)
+    assert [q for q, p, _ in powers if p == 2] == [2**k for k in range(1, 12)]
+    for q, p, k in powers:
         row = _kloosterman_unit_row(q)
         reference = _bluestein_row(q)
         bound = _row_bound(q) + (64 * EPS * math.log2(q) + UNIT_EPS) * q
