@@ -6,17 +6,18 @@ principal character; mod a prime every non-principal character is
 primitive.  Evaluation goes through a per-modulus discrete-log table,
 which scatters the exponents k to the powers g**k of unit_powers(q).
 chi.eval(n) then takes the root from the reduced fraction (RationalAngle).
-Arrays of values come from one gather, _character_rows, whose row for
+Arrays of values come from one gather, character_rows, whose row for
 index a holds unit_roots(q - 1)[a * dlog[x] mod (q - 1)] at each unit x;
 the fraction is not reduced, so it may differ from eval in the last bits.
-character_table(q) calls it on every index and value_array() on one, so
-a single character never builds the (q-1) x q table.
+value_array() is its one-row call, so a single character never builds the
+rows of the others.
 
-unit_powers(q) lists the units of any prime power q in generator order;
-expsums takes its inverse tables and its Kloosterman rows from the same
-powers.  The powers, discrete-log and root tables are kept in
-numcore.table_memo, whose docstring states its bounds, and shared
-read-only, so characters are cheap value objects safe for concurrent use.
+unit_powers(q) lists the units of any prime power q in generator order,
+and unit_cycles(q) lays them out as the unit group; expsums takes its
+inverse tables and its Kloosterman rows from that layout.  The powers,
+discrete-log and root tables are kept in numcore.table_memo, whose
+docstring states its bounds, and shared read-only, so characters are
+cheap value objects safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -94,6 +95,12 @@ def unit_powers(q):
     return powers
 
 
+def unit_cycles(q):
+    """unit_powers(q) viewed as the unit group, Z/phi(q) or, for q = 2**e, e >= 2,
+    Z/2 x Z/(q/4) (rows 5**j and -5**j): entry k is h(k), and h(k) h(k') = h(k + k')."""
+    return unit_powers(q).reshape((2, -1) if q % 4 == 0 else -1)
+
+
 @table_memo
 def discrete_log_table(q):
     """table[x] = k with g**k = x mod the odd prime q (table[0] = -1), the
@@ -160,25 +167,19 @@ class DirichletCharacter:
         return -1 if self.index % 2 else 1
 
     def value_array(self):
-        """chi at every residue 0..q-1 (chi(0) = 0): one row of character_table's gather."""
-        return _character_rows(self.modulus, [self.index])[0]
+        """chi at every residue 0..q-1 (chi(0) = 0): the one-row call of character_rows."""
+        return character_rows(self.modulus, [self.index])[0]
 
 
-def _character_rows(q, indices):
-    """chi at residues 0..q-1 of each index's character mod the odd prime q, a row each."""
+def character_rows(q, indices):
+    """chi at residues 0..q-1 of each index's character mod the odd prime q,
+    a row each; rows of equal index are equal bit for bit."""
+    _check_odd_prime(q)
     dlog = discrete_log_table(q)
     rows = np.zeros((len(indices), q), dtype=np.complex128)
     idx = reduce_mod(np.multiply.outer(np.asarray(indices, dtype=np.int64), dlog[1:]), q - 1)
     rows[:, 1:] = unit_roots(q - 1)[idx]
     return rows
-
-
-def character_table(q):
-    """chi at every residue 0..q-1 for every character mod the odd prime q,
-    as a (q-1) x q complex array: row a is DirichletCharacter(q, a).value_array(),
-    bit for bit, since both are calls of the one gather."""
-    _check_odd_prime(q)
-    return _character_rows(q, np.arange(q - 1))
 
 
 def enumerate_characters(q):

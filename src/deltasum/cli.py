@@ -56,7 +56,7 @@ from .expsums import (
     twisted_kloosterman,
 )
 from .oscillatory import TOY_PARAMS, TOY_THETA, WindowFunction, bessel_j, integral_value_and_error
-from .scan import append_ledger
+from .scan import append_ledger, csv_line
 from .suites import SUITES, run_suite
 
 DEFAULT_CACHE_DIR = os.path.join(os.path.expanduser("~"), ".cache", "deltasum")
@@ -246,8 +246,7 @@ def run_verify(args, config):
     if args.json:
         text = report.to_json()
     elif args.csv:
-        text = ",".join('"%s"' % cell.replace('"', '""')
-                        for cell in report.csv_row()[:5])
+        text = csv_line(report.csv_row()[:5])
     else:
         text = (f"suite={report.suite} cases={report.cases} "
                 f"max_deviation={report.max_deviation!r} passed={str(report.passed).lower()}")

@@ -21,11 +21,12 @@ Conventions shared by every sum here:
 * the raw direct-summation path is always available next to a closed
   form, and the verification suites compare the two - the closed form is
   never trusted alone;
-* kloosterman_screen only nominates cases and none of its values is ever
-  reported, so only a bound on its distance from kloosterman matters (its
-  last bits may change with numpy's SIMD level).  With eps = 2**-53, a
-  transform of size n is within C eps log2(n) |x| of exact in the 2-norm,
-  taking C = 64 for pocketfft's radix and Bluestein lengths (Bluestein
+* kloosterman_screen and dsum_screen only nominate cases and none of
+  their values is ever reported, so only a bound on their distance from
+  kloosterman and d_sum matters (their last bits may change with numpy's
+  SIMD level).  With eps = 2**-53, a transform of size n is within C eps
+  log2(n) |x| of exact in the 2-norm, taking C = 64 (C eps is
+  TRANSFORM_EPS) for pocketfft's radix and Bluestein lengths (Bluestein
   runs three transforms of length below 4n and two chirp products); an
   n-D transform runs one along each axis, and the log2 of the sizes sum.
   Every prime power's row is Rader's: f holds n = phi(q) roots e(x/q)
@@ -45,7 +46,7 @@ Conventions shared by every sum here:
   within UNIT_EPS phi(c) plus half an ulp.  For c <= 2000 (omega <= 4,
   c/phi(c) <= 4.375) the gap is at most 1.2e-12 phi(c), for c <= 10**7
   (omega <= 8, c/phi(c) < 5.3) at most 2.9e-12 phi(c): the weil sweep's
-  slack 1e-9 phi(c) holds about 350 times over.  Measured against a
+  slack SCREEN_SLACK phi(c) holds about 350 times over.  Measured against a
   long-double reference, the rows of the odd prime powers up to 2048 are
   within 0.97 eps log2(q) q and those of the powers of 2 within 0.34, and
   the default weil grid's gap is at most 5.9e-16 phi(c).
@@ -57,19 +58,20 @@ once: voronoi_char_sums_raw/_closed one (m, m', c, d) for many (r, ell, M)
 rows and n, psi_average_sums_raw/_closed one (c, p, M) for many (r, m).
 The scalar functions are their one-entry calls, so a block entry has the
 scalar value's bits.  Sweeps may locate their worst case with an
-approximate kernel (kloosterman_screen, one FFT row per prime power), but
-it only picks candidates: every number that is reported still comes from
-the scalar function, with the reduction stated above.
+approximate kernel (kloosterman_screen, one FFT row per prime power, or
+dsum_screen, one per character), but it only picks candidates: every
+number that is reported still comes from the scalar function, with the
+reduction stated above.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum, gcd
+from math import fsum, gcd, log2
 
 import numpy as np
 
-from .characters import character_table, unit_powers, unit_roots
+from .characters import character_rows, discrete_log_table, unit_cycles, unit_roots
 from .errors import (
     BudgetExceeded,
     InvalidValue,
@@ -93,6 +95,8 @@ from .numcore import (
 )
 
 UNIT_EPS = 2e-15  # per-summand error bound for a tabulated unit-modulus value
+TRANSFORM_EPS = 64 * 2.0**-53  # C eps of a transform's bound (module docstring)
+SCREEN_SLACK = 1e-9  # kloosterman_screen is within SCREEN_SLACK phi(c) (module docstring)
 DEFAULT_BUDGET = 10**7
 
 
@@ -152,11 +156,9 @@ def check_rows(values, terms, est_error):
 
 def _prime_power_inverses(q):
     """inv[x] = x**-1 mod the prime power q for every residue x (0 at the
-    non-units).  unit_powers(q) is laid out as the unit group: one cycle
-    g**k for odd q (and q = 2), and for q = 2**e, e >= 2, two rows 5**j and
-    -5**j.  The inverse of g**k sits at -k mod the cycle length: a reversed
-    gather along the last axis."""
-    cycles = unit_powers(q).reshape((2, -1) if q % 4 == 0 else -1)
+    non-units).  In unit_cycles(q) the inverse of h(k) sits at -k, which is
+    k along an axis of length 2: a reversed gather along the last axis."""
+    cycles = unit_cycles(q)
     table = np.zeros(q, dtype=np.int64)
     table[cycles] = np.concatenate((cycles[..., :1], cycles[..., :0:-1]), axis=-1)
     return table
@@ -229,15 +231,14 @@ def kloosterman(m, n, c, budget=DEFAULT_BUDGET):
 def _kloosterman_unit_row(q):
     """K[a] = S(1, a; q) for every a mod the prime power q.
 
-    Rader's reindexing over the unit group, laid out as in
-    _prime_power_inverses (Z/phi(q), or Z/2 x Z/(q/4) for 2**k): the units
-    are h(k) with h(k) h(k') = h(k + k').  With f(k) = e(h(k)/q),
+    Rader's reindexing over the unit group, laid out as unit_cycles(q):
+    the units are h(k) with h(k) h(k') = h(k + k').  With f(k) = e(h(k)/q),
     S(1, h(k); q) = sum over k' of f(k') f(k - k'), the cyclic
     self-convolution ifftn(fftn(f)**2) over the layout's axes.  It is real
     (x -> -x conjugates it), so the inverse is irfftn of the first half of
     fftn(f)**2.  The non-units are exact: K[0] = mu(q) = -1 for a prime
     (q = 2 included), and K[a] = 0 for p | a once q = p**k, k >= 2."""
-    cycles = unit_powers(q).reshape((2, -1) if q % 4 == 0 else -1)
+    cycles = unit_cycles(q)
     f = np.fft.fftn(np.exp(cycles * (2j * np.pi / q)))[..., :cycles.shape[-1] // 2 + 1]
     row = np.zeros(q, dtype=np.complex128)
     row[cycles] = np.fft.irfftn(f * f, cycles.shape, range(cycles.ndim))  # K is real
@@ -372,6 +373,26 @@ def d_sum(u, M, chi):
     return ExpSumValue(fsum_rows(terms[None])[0], M - 2, 2 * UNIT_EPS * (M - 2))
 
 
+def dsum_screen(M):
+    """(rows, gap): rows[a - 1, u] approximates |D(u; M)| at the character
+    of index a, 0 < a < M - 1, and every u mod M, only to nominate cases;
+    gap bounds its distance from |d_sum|.  A row is |M ifft(f)|, with
+    f[t] = conj(chi)(b - 1) at t = b^-1 - 1.  As b - 1 = -t/(t + 1), f[t] is
+    conj(e)(a (dlog(-1) + dlog t - dlog(t + 1)) / (M - 1)): one gather of
+    M - 2 roots per row, each within UNIT_EPS, so M ifft(f) is within
+    (TRANSFORM_EPS log2 M + UNIT_EPS) M of D (module docstring), and d_sum
+    within its est_error 2 UNIT_EPS (M - 2)."""
+    if M % 2 == 0 or not is_prime(M):
+        raise NotPrime(f"{M} is not an odd prime")
+    dlog = discrete_log_table(M)
+    ts = np.arange(1, M - 1)  # the columns t, and the indices a of the rows
+    f = np.zeros((M - 2, M), dtype=np.complex128)
+    k = reduce_mod(dlog[-1] + dlog[ts] - dlog[ts + 1], M - 1)  # dlog(b - 1)
+    f[:, 1:-1] = np.conj(unit_roots(M - 1))[reduce_mod(np.multiply.outer(ts, k), M - 1)]
+    gap = (TRANSFORM_EPS * log2(M) + UNIT_EPS) * M + 2 * UNIT_EPS * (M - 2)
+    return np.abs(np.fft.ifft(f, axis=1) * M), gap
+
+
 def _check_psi_average(pairs, c, p, M):
     if min([c, *map(min, pairs)]) < 1:
         raise InvalidValue("r, m, c must be positive")
@@ -410,7 +431,7 @@ def psi_average_sums_raw(pairs, c, p, M):
     c_total = c * p * M
     summands = kloosterman_terms([r for r, _ in pairs], [m for _, m in pairs], c_total)
     xs, _ = units_and_inverses(c_total)
-    psi = character_table(p)[1::2, xs % p]  # the odd characters: psi(-1) = (-1)**index
+    psi = character_rows(p, range(1, p - 1, 2))[:, xs % p]  # the odd ones: psi(-1) = (-1)**index
     row_est = 2 * UNIT_EPS * xs.size  # twisted_kloosterman's bound for one character
     count = (p - 1) * xs.size
     blocks = [fsum_rows(psi * row) for row in summands]
@@ -543,6 +564,10 @@ def c4_correlation(c2, q2_tilde, p, p_prime, q1, m_dprime, M, h, n,
     mod2 = r_prime * ell_prime
     big = r_prime * ell * ell_prime
     check_budget(big, budget)
+    phi1, phi2 = euler_phi(mod1), euler_phi(mod2)
+    row = max(mod1 * phi1, mod2 * phi2)  # the summands of one _kloosterman_row
+    if row > budget:
+        raise BudgetExceeded(f"a Kloosterman row of {row} summands exceeds the budget {budget}")
     if gcd(p, mod1) != 1 or gcd(p_prime, mod2) != 1:
         raise ParameterInconsistency("r' ell (resp. r' ell') must be prime to p (resp. p')")
     if gcd(q1 * q2_tilde, big) != 1:
@@ -556,9 +581,7 @@ def c4_correlation(c2, q2_tilde, p, p_prime, q1, m_dprime, M, h, n,
     a = np.arange(big, dtype=np.int64)
     terms = row1[t1 * a % mod1] * row2[t2 * a % mod2] * unit_roots(big)[(n % big) * a % big]
     value = fsum_rows(terms[None])[0]
-    phi1 = units_and_inverses(mod1)[0].size
-    phi2 = units_and_inverses(mod2)[0].size
-    count = int(big * phi1 * phi2)
+    count = big * phi1 * phi2
     return ExpSumValue(value, count, 4 * UNIT_EPS * count)
 
 

@@ -121,16 +121,16 @@ class ScanReport:
                 str(self.passed).lower(), str(self.runtime_ms)]
 
 
+def csv_line(cells):
+    """The cells as one CSV line, each quoted, with inner quotes doubled."""
+    return ",".join('"%s"' % cell.replace('"', '""') for cell in cells)
+
+
 def append_ledger(report, cache_dir):
     """Append one CSV row to the ledger in cache_dir (created on demand)."""
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, "ledger.csv")
-    line = ",".join('"%s"' % cell.replace('"', '""') for cell in report.csv_row()) + "\n"
-    if not os.path.exists(path):
-        header = ",".join(LEDGER_COLUMNS) + "\n"
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(header + line)
-    else:
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(line)
+    header = "" if os.path.exists(path) else ",".join(LEDGER_COLUMNS) + "\n"
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(header + csv_line(report.csv_row()) + "\n")
     return path

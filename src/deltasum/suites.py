@@ -2,10 +2,10 @@
 
 Every suite walks a deterministic grid (seeded through the documented LCG
 when it is random), evaluates the raw and closed-form routes of one
-identity or one bound, and reports the worst normalized deviation and the
-witness that produced it.  Pass thresholds are exactly the tolerances of
-the owning modules (`bessel-decay`'s two belong to no kernel and live
-here); the suites add no slack of their own.
+identity or one bound, and reports the worst normalized deviation and its
+witness.  Pass thresholds are the owning modules' tolerances and screen
+slacks their error bounds (`bessel-decay`'s two thresholds belong to no
+kernel and live here): the suites add no slack of their own.
 
 Only this module sweeps cases and builds reports; the kernels only
 compute.  One accumulator, `_Sweep`, keeps the bookkeeping of every
@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import expsums
-from .characters import DirichletCharacter, character_table, gauss_sum, unit_roots
+from .characters import DirichletCharacter, gauss_sum, unit_roots
 from .errors import BudgetExceeded, InvalidValue
 from .exponent import minimize_max, paper_bound_problem, staged_elimination
 from .expsums import (
@@ -50,7 +50,6 @@ from .expsums import (
     psi_average_sums_closed,
     psi_average_sums_raw,
     twisted_split_check,
-    units_and_inverses,
     voronoi_char_sum_closed,
     voronoi_char_sum_raw,
     voronoi_char_sums_closed,
@@ -463,9 +462,7 @@ def suite_weil(c_max=2000, pairs_per_c=20, seed=5):
     expsums.check_rows(sums, phi, expsums.UNIT_EPS * phi)
     # gcd(m, n, c), taking the small c first: fewer Euclid steps, same integers
     scale = divisors * np.sqrt(np.gcd(np.gcd(ms, cs), ns) * cs) + expsums.UNIT_EPS * phi
-    # 1e-9 * phi(c) bounds |screened - scalar| with room: the derivation
-    # is in the expsums docstring.
-    sweep.offer(np.abs(sums) / scale, 1e-9 * phi / scale,
+    sweep.offer(np.abs(sums) / scale, expsums.SCREEN_SLACK * phi / scale,
                 lambda i: (int(ms[i]), int(ns[i]), int(cs[i])), weil_case)
     return sweep.report("weil", {"c_max": c_max, "pairs_per_c": pairs_per_c, "seed": seed})
 
@@ -477,37 +474,17 @@ def dsum_cancel_case(M, chi_index, u):
     return abs(d_sum(u, M, chi).value) / math.sqrt(M)
 
 
-def _dsum_rows(M):
-    """|D(u; M)| for all chi (rows) and u (columns) at once via an inverse DFT.
-
-    D(u) = sum_t f[t] e(tu/M) with f[(b^-1 - 1) mod M] = conj(chi)(b - 1),
-    so the row of values over u is M * ifft(f): one character table and
-    one 2-D transform along the rows.  It only nominates cases: f holds
-    M - 2 table roots, each within UNIT_EPS, so |f| <= sqrt(M) in the
-    2-norm, and M * ifft(f) is within (64 eps log2(M) + UNIT_EPS) M of the
-    exact D (eps = 2**-53, with the transform constant of the expsums
-    docstring).  d_sum is within its est_error, 2 UNIT_EPS (M - 2), so the
-    two moduli differ by at most (64 eps log2(M) + UNIT_EPS) M + 2 UNIT_EPS (M - 2).
-    """
-    _, inv = units_and_inverses(M)
-    bs = np.arange(2, M)
-    f = np.zeros((M - 2, M), dtype=np.complex128)
-    f[:, (inv[bs - 1] - 1) % M] = np.conj(character_table(M)[1:, bs - 1])
-    return np.abs(np.fft.ifft(f, axis=1) * M)
-
-
 DSUM_CEILING = 4.0  # the pass ceiling of |D(u; M)| / sqrt(M)
 
 
 def suite_dsum_cancel(M_max=300):
-    """_dsum_rows screens every (chi, u != 0) of a prime M, in grid order,
-    with its distance bound over sqrt(M) as slack."""
+    """expsums.dsum_screen screens every (chi, u != 0) of a prime M, in
+    grid order, with its gap over sqrt(M) as slack."""
     sweep = _Sweep()
     for M in primes_between(2, M_max + 1):
-        devs = (_dsum_rows(M)[:, 1:] / math.sqrt(M)).ravel()  # drop u = 0
-        slack = ((64 * 2.0**-53 * math.log2(M) + expsums.UNIT_EPS) * M
-                 + 2 * expsums.UNIT_EPS * (M - 2)) / math.sqrt(M)
-        sweep.offer(devs, np.full(devs.size, slack),
+        rows, gap = expsums.dsum_screen(M)
+        devs = (rows[:, 1:] / math.sqrt(M)).ravel()  # drop u = 0
+        sweep.offer(devs, np.full(devs.size, gap / math.sqrt(M)),
                     lambda i, M=M: (M, i // (M - 1) + 1, i % (M - 1) + 1), dsum_cancel_case)
     return sweep.report("dsum-cancel", {"M_max": M_max, "ceiling": DSUM_CEILING},
                         ceiling=DSUM_CEILING)

@@ -5,7 +5,7 @@ import pytest
 
 from deltasum.characters import (
     DirichletCharacter,
-    character_table,
+    character_rows,
     enumerate_characters,
     gauss_sum,
     primitive_root,
@@ -145,11 +145,11 @@ def test_concurrent_discrete_log_construction():
     assert all(v == values[0] for v in values)
 
 
-def test_character_table_rows_are_value_arrays_bit_for_bit():
+def test_character_rows_are_value_arrays_bit_for_bit():
     for q in primes_between(3, 100):
-        table = character_table(q)
-        assert table.shape == (q - 1, q)
+        rows = character_rows(q, range(q - 1))
+        assert rows.shape == (q - 1, q)
         for a in range(q - 1):
-            assert table[a].tobytes() == DirichletCharacter(q, a).value_array().tobytes(), (q, a)
+            assert rows[a].tobytes() == DirichletCharacter(q, a).value_array().tobytes(), (q, a)
     with pytest.raises(NotPrime):
-        character_table(9)
+        character_rows(9, [1])

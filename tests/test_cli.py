@@ -121,6 +121,19 @@ def test_zero_budget_exits_3_for_the_other_budgeted_sums(capsys, argv):
     assert run(capsys, "sum", *argv, "--no-cache")[0] == 0
 
 
+def test_c4_kloosterman_rows_above_the_budget_exit_3(capsys):
+    # r' ell' = 50000 has phi = 20000: a row of 10**9 summands, though the
+    # a-sum has only 150,000 terms.
+    argv = ("sum", *C4_ARGS[:-6], "--r-prime", "10000", "--ell", "3", "--ell-prime", "5")
+    code, out, err = run(capsys, *argv, "--no-cache")
+    assert code == 3, err
+    assert out == "" and "summands exceeds the budget 10000000" in err
+    # --budget sets the row bound too: the rows of C4_ARGS hold 15 * 8 and
+    # 21 * 12 = 252 summands, and a row of exactly the budget is accepted.
+    assert run(capsys, "sum", *C4_ARGS, "--budget", "251", "--no-cache")[0] == 3
+    assert run(capsys, "sum", *C4_ARGS, "--budget", "252", "--no-cache")[0] == 0
+
+
 @pytest.mark.parametrize("argv", [("gauss", "--modulus", "7", "--chi-index", "1"),
                                   ("ramanujan", "--q", "6", "--n", "1"),
                                   ("dsum", "--u", "0", "--modulus", "7", "--chi-index", "3"),
@@ -394,6 +407,22 @@ def test_verify_json_deterministic(capsys):
     assert out1 == out2
     payload = json.loads(out1)
     assert payload["passed"] is True
+
+
+# verify --csv stdout: the first five ledger cells, each quoted, with inner
+# quotes doubled (bessel-decay's witness holds a string).
+VERIFY_CSV_STDOUT = {
+    ("exponent",): '"exponent","6","0.0","null","true"\n',
+    ("c3", "--grid-preset", "smoke"): '"c3","42","0.6666666666666666","[5, 2, 4]","true"\n',
+    ("bessel-decay", "--grid-preset", "smoke"):
+        '"bessel-decay","122","7.040008587492279e-06","[""trivial-bound"", 0.5]","true"\n',
+}
+
+
+@pytest.mark.parametrize("argv", VERIFY_CSV_STDOUT)
+def test_verify_csv_stdout_pinned(capsys, argv):
+    code, out, _ = run(capsys, "verify", *argv, "--csv")
+    assert (code, out) == (0, VERIFY_CSV_STDOUT[argv])
 
 
 def test_verify_appends_ledger(capsys, tmp_path):

@@ -9,12 +9,14 @@ from deltasum.errors import (
     BudgetExceeded,
     InvalidValue,
     ModulusMismatch,
+    NotPrime,
     NotUnit,
     ParameterInconsistency,
     PrincipalCharacter,
     SharedFactor,
 )
 from deltasum.expsums import (
+    SCREEN_SLACK,
     UNIT_EPS,
     ExpSumValue,
     PsiAverageParams,
@@ -22,6 +24,7 @@ from deltasum.expsums import (
     c3_raw,
     c4_correlation,
     d_sum,
+    dsum_screen,
     fsum_rows,
     identity_tolerance,
     kloosterman,
@@ -159,7 +162,7 @@ def test_kloosterman_screen_within_slack_on_weil_grids(c_max, pairs_per_c, seed,
     screened, phi, divisors = kloosterman_screen(ms, ns, cs)
     for (m, n, c), got, terms, d in zip(cases, screened.tolist(), phi, divisors):
         want = kloosterman(m, n, c)
-        assert abs(got - want.value) <= 1e-9 * want.terms
+        assert abs(got - want.value) <= SCREEN_SLACK * want.terms
         assert (terms, d) == (want.terms, divisor_count(c))
 
 
@@ -270,6 +273,12 @@ def test_dsum_oracle_and_periodicity():
 def test_dsum_rejects_principal():
     with pytest.raises(PrincipalCharacter):
         d_sum(1, 7, DirichletCharacter.principal(7))
+
+
+@pytest.mark.parametrize("M", [2, 9, 15])
+def test_dsum_screen_takes_odd_primes_only(M):
+    with pytest.raises(NotPrime):
+        dsum_screen(M)
 
 
 def test_dsum_cancellation_small():

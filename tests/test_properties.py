@@ -2,7 +2,7 @@
 the batched kernels (kloosterman_terms, voronoi_char_sums_raw) against a
 pure-Python direct sum over the units, within identity_tolerance, of
 kloosterman_screen against kloosterman within the weil sweep's slack, of
-Q/Z reciprocity, and of the dsum-cancel FFT rows against d_sum."""
+Q/Z reciprocity, and of the dsum-cancel screen against d_sum within its gap."""
 
 import cmath
 import math
@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 from deltasum.characters import DirichletCharacter
 from deltasum.expsums import (
-    UNIT_EPS,
+    SCREEN_SLACK,
     d_sum,
+    dsum_screen,
     fsum_rows,
     identity_tolerance,
     kloosterman,
@@ -28,7 +29,7 @@ from deltasum.expsums import (
     voronoi_char_sums_raw,
 )
 from deltasum.numcore import primes_between
-from deltasum.suites import _dsum_rows, reciprocity_case
+from deltasum.suites import reciprocity_case
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -96,7 +97,7 @@ def assert_screen_matches_scalar(cases):
     screened, phi, _ = kloosterman_screen(ms, ns, cs)
     for (m, n, c), got, terms in zip(cases, screened, phi):
         want = kloosterman(m, n, c)
-        assert abs(got - want.value) <= 1e-9 * want.terms  # the weil sweep's slack
+        assert abs(got - want.value) <= SCREEN_SLACK * want.terms  # the weil sweep's slack
         assert terms == want.terms
 
 
@@ -181,11 +182,6 @@ def test_reciprocity_holds_for_coprime_moduli(a, b, n):
 def test_dsum_rows_match_d_sum(M, data):
     chi_index = data.draw(st.integers(min_value=1, max_value=M - 2))
     u = data.draw(st.integers(min_value=0, max_value=M - 1))
-    got = _dsum_rows(M)[chi_index - 1, u]
+    rows, gap = dsum_screen(M)
     want = d_sum(u, M, DirichletCharacter.from_index(M, chi_index))
-    # The row is |M ifft(f)| for M - 2 table roots f: an FFT of length M is
-    # within 64 eps log2(M) M of the exact transform (the constant of the
-    # expsums docstring), the roots add UNIT_EPS M, and d_sum's fsum is
-    # within its est_error.
-    bound = (64 * 2.0**-53 * math.log2(M) + UNIT_EPS) * M + want.est_error
-    assert abs(got - abs(want.value)) <= bound
+    assert abs(rows[chi_index - 1, u] - abs(want.value)) <= gap

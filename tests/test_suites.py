@@ -9,13 +9,12 @@ import pytest
 from deltasum import suites
 from deltasum.characters import enumerate_characters
 from deltasum.errors import BudgetExceeded, InvalidValue
-from deltasum.expsums import units_and_inverses, voronoi_char_sum_closed
+from deltasum.expsums import dsum_screen, units_and_inverses, voronoi_char_sum_closed
 from deltasum.numcore import primes_between
 from deltasum.scan import Lcg, ScanReport, append_ledger
 from deltasum.suites import (
     SMOKE_OVERRIDES,
     SUITES,
-    _dsum_rows,
     _Sweep,
     bessel_decay_case,
     c1_case,
@@ -418,7 +417,7 @@ def test_dsum_rows_match_one_transform_per_character():
             f = np.zeros(M, dtype=np.complex128)
             f[t_idx] = np.conj(chi.value_array())[bs - 1]
             rows[row] = np.fft.ifft(f) * M
-        assert _dsum_rows(M).tobytes() == np.abs(rows).tobytes(), M
+        assert dsum_screen(M)[0].tobytes() == np.abs(rows).tobytes(), M
 
 
 def test_dsum_sweep_matches_case_by_case_reference(monkeypatch):

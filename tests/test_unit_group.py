@@ -11,11 +11,13 @@ from deltasum.characters import (
     discrete_log_table,
     prime_power_root,
     primitive_root,
+    unit_cycles,
     unit_powers,
     unit_roots,
 )
 from deltasum.errors import InvalidValue
 from deltasum.expsums import (
+    TRANSFORM_EPS,
     UNIT_EPS,
     _kloosterman_unit_row,
     kloosterman,
@@ -104,6 +106,16 @@ def test_powers_reject_what_is_not_a_prime_power():
             unit_powers(n)
 
 
+@pytest.mark.parametrize("q, shape", [(2, (1,)), (4, (2, 1)), (8, (2, 2)), (9, (6,)),
+                                      (27, (18,))])
+def test_unit_cycles_lay_the_powers_out_as_the_unit_group(q, shape):
+    cycles = unit_cycles(q)
+    assert cycles.shape == shape
+    assert cycles.ravel().tolist() == unit_powers(q).tolist()
+    if q % 4 == 0:  # the rows 5**j and -5**j
+        assert cycles[1].tolist() == [q - x for x in cycles[0].tolist()]
+
+
 # ------------------------------------------------------------ discrete logs
 
 def _discrete_log_loop(q):
@@ -146,8 +158,8 @@ def _bluestein_row(q):
 
 def _row_bound(q):
     """The expsums docstring's bound on an entry of a Rader row: two
-    transforms and a square of length phi(q), C = 64."""
-    return (3 * 64 * EPS * math.log2(q) + 2 * UNIT_EPS + math.sqrt(5) * EPS) * q
+    transforms and a square of length phi(q)."""
+    return (3 * TRANSFORM_EPS * math.log2(q) + 2 * UNIT_EPS + math.sqrt(5) * EPS) * q
 
 
 def test_rader_rows_match_the_length_q_transform_and_the_scalar_sum():
@@ -157,7 +169,7 @@ def test_rader_rows_match_the_length_q_transform_and_the_scalar_sum():
     for q, p, k in powers:
         row = _kloosterman_unit_row(q)
         reference = _bluestein_row(q)
-        bound = _row_bound(q) + (64 * EPS * math.log2(q) + UNIT_EPS) * q
+        bound = _row_bound(q) + (TRANSFORM_EPS * math.log2(q) + UNIT_EPS) * q
         assert np.max(np.abs(row - reference)) <= bound, q
         non_units = row[::p]
         if k == 1:
