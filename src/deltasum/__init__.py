@@ -4,7 +4,7 @@ oracles at desk scale."""
 
 __version__ = "0.1.0"
 
-from .characters import DirichletCharacter, enumerate_characters, gauss_sum
+from .characters import DirichletCharacter, enumerate_characters
 from .errors import (
     BudgetExceeded,
     ComputationError,
@@ -38,11 +38,11 @@ from .exponent import (
 )
 from .expsums import (
     ExpSumValue,
-    PsiAverageParams,
     c3_closed,
     c3_raw,
     c4_correlation,
     d_sum,
+    gauss_sum,
     identity_tolerance,
     kloosterman,
     psi_average_closed,

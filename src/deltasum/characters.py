@@ -1,4 +1,4 @@
-"""Dirichlet characters modulo an odd prime, with Gauss sums.
+"""Dirichlet characters modulo an odd prime.
 
 A character chi mod q is stored as (q, index): with g the least primitive
 root mod q, chi(g**k) = e(index * k / (q-1)).  Index 0 is the
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import fsum
 
 import numpy as np
 
@@ -186,10 +185,3 @@ def enumerate_characters(q):
     """All q-1 characters mod the odd prime q, by ascending index."""
     _check_odd_prime(q)
     return [DirichletCharacter(q, a) for a in range(q - 1)]
-
-
-def gauss_sum(chi):
-    """g_chi = sum_{a mod q} chi(a) e(a/q) by direct summation."""
-    q = chi.modulus
-    terms = chi.value_array()[1:] * unit_roots(q)[1:]
-    return complex(fsum(terms.real.tolist()), fsum(terms.imag.tolist()))

@@ -42,15 +42,15 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .characters import DirichletCharacter, gauss_sum
+from .characters import DirichletCharacter
 from .errors import ComputationError, DomainError, InvalidValue
 from .exponent import minimize_max, paper_bound_problem, parse_problem_file, staged_elimination
 from .expsums import (
     DEFAULT_BUDGET,
-    ExpSumValue,
     c3_closed,
     c4_correlation,
     d_sum,
+    gauss_sum,
     kloosterman,
     ramanujan_sum,
     twisted_kloosterman,
@@ -67,8 +67,7 @@ def _twisted(m, n, c, p, psi_index, budget=DEFAULT_BUDGET):
 
 
 def _gauss(modulus, chi_index):
-    g = gauss_sum(DirichletCharacter.from_index(modulus, chi_index))
-    return ExpSumValue(g, modulus - 1, 4e-15 * modulus)
+    return gauss_sum(DirichletCharacter.from_index(modulus, chi_index))
 
 
 def _dsum(u, modulus, chi_index):

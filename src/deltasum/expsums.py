@@ -4,13 +4,14 @@ Conventions shared by every sum here:
 
 * summation order is ascending residue, and the reduction is fixed per
   sum, so results are reproducible.  Most sums reduce by math.fsum,
-  which is correctly rounded and so order-free.  Three do not:
-  c3_raw adds its terms one by one (+=) in ascending b, c3_closed uses
-  numpy's pairwise ndarray.sum, and _kloosterman_row (the two
-  Kloosterman rows under c4_correlation) uses np.sum, also pairwise, for
-  each y; c4_correlation's own sum over a is an fsum.  psi_average_raw
-  fsums each character's row and adds the rows (+=) in character order,
-  and psi_average_closed multiplies (p-1) * S * (e(w) - e(-w)) as Python
+  which is correctly rounded and so order-free.  Four do not: c3_raw
+  adds its terms one by one (+=) in ascending b, c3_closed uses numpy's
+  pairwise ndarray.sum, _kloosterman_row (the two Kloosterman rows under
+  c4_correlation) uses np.sum, also pairwise, for each y, and c1_sums and
+  c2_sums fsum each S of their a-sum and add its terms (+=) in ascending
+  a; c4_correlation's own sum over a is an fsum.  psi_average_raw fsums
+  each character's row and adds the rows (+=) in character order, and
+  psi_average_closed multiplies (p-1) * S * (e(w) - e(-w)) as Python
   complex numbers, in that order;
 * the raw sums take their roots of unity from the per-modulus tables
   unit_roots(c), which evaluate np.exp(2*pi*i*j/c) without reducing j/c;
@@ -45,8 +46,8 @@ Conventions shared by every sum here:
   sqrt(5) eps) of S(m, n; c), to first order, and kloosterman's fsum is
   within UNIT_EPS phi(c) plus half an ulp.  For c <= 2000 (omega <= 4,
   c/phi(c) <= 4.375) the gap is at most 1.2e-12 phi(c), for c <= 10**7
-  (omega <= 8, c/phi(c) < 5.3) at most 2.9e-12 phi(c): the weil sweep's
-  slack SCREEN_SLACK phi(c) holds about 350 times over.  Measured against a
+  (omega <= 8, c/phi(c) < 5.3) at most 2.9e-12 phi(c): kloosterman_screen's
+  SCREEN_SLACK phi(c) holds about 350 times over.  Measured against a
   long-double reference, the rows of the odd prime powers up to 2048 are
   within 0.97 eps log2(q) q and those of the powers of 2 within 0.34, and
   the default weil grid's gap is at most 5.9e-16 phi(c).
@@ -59,9 +60,9 @@ rows and n, psi_average_sums_raw/_closed one (c, p, M) for many (r, m).
 The scalar functions are their one-entry calls, so a block entry has the
 scalar value's bits.  Sweeps may locate their worst case with an
 approximate kernel (kloosterman_screen, one FFT row per prime power, or
-dsum_screen, one per character), but it only picks candidates: every
-number that is reported still comes from the scalar function, with the
-reduction stated above.
+dsum_screen, one per character) that returns its gap from the scalar
+function, but it only picks candidates: every number that is reported
+still comes from the scalar function, with the reduction stated above.
 """
 
 from __future__ import annotations
@@ -266,10 +267,12 @@ def _prime_power_screen(a, b, p, k, rows):
 
 
 def kloosterman_screen(ms, ns, cs):
-    """(sums, phi, divisors) for int64 arrays ms, ns, cs: sums[i] is an
+    """(sums, est, gap, divisors) for int64 arrays ms, ns, cs: sums[i] is an
     approximate S(m_i, n_i; c_i), for sweeps that only nominate candidates
-    (no value of it is ever reported), and phi[i], divisors[i] are phi(c_i)
-    and d(c_i), taken from the one factorisation of each modulus.
+    (no value of it is ever reported), est[i] is kloosterman's est_error
+    UNIT_EPS phi(c_i), gap[i] = SCREEN_SLACK phi(c_i) bounds |sums[i] -
+    kloosterman(m_i, n_i, c_i).value| (module docstring), and divisors[i]
+    is d(c_i); phi and d come from the one factorisation of each modulus.
 
     By twisted multiplicativity S(m, n; c) is the product over the prime
     powers q exactly dividing c of S(m rbar, n rbar; q), with r = c/q and
@@ -315,8 +318,10 @@ def kloosterman_screen(ms, ns, cs):
         if prime != last:
             rows, last = {}, prime
         out[case[lo:hi]] *= _prime_power_screen(a[lo:hi], b[lo:hi], prime, e, rows)
-    funcs = np.array(funcs, dtype=np.int64).reshape(-1, 2)[which]
-    return out, funcs[:, 0], funcs[:, 1]
+    phi, divisors = np.array(funcs, dtype=np.int64).reshape(-1, 2)[which].T
+    est = UNIT_EPS * phi
+    check_rows(out, phi, est)
+    return out, est, SCREEN_SLACK * phi, divisors
 
 
 def twisted_kloosterman(psi, m, n, c, budget=DEFAULT_BUDGET):
@@ -351,6 +356,14 @@ def ramanujan_sum(q, n):
             phi_qg *= p ** (e - 1) * (p - 1)
             mu_qg = 0 if e > 1 else -mu_qg
     return mu_qg * phi_q // phi_qg
+
+
+def gauss_sum(chi):
+    """g_chi = sum over a mod q of chi(a) e(a/q), by direct summation; its
+    bound 2 UNIT_EPS q covers q - 1 products of two tabulated roots."""
+    q = chi.modulus
+    terms = chi.value_array()[1:] * unit_roots(q)[1:]
+    return ExpSumValue(fsum_rows(terms[None])[0], q - 1, 2 * UNIT_EPS * q)
 
 
 def _require_nonprincipal(chi, M):
@@ -393,6 +406,42 @@ def dsum_screen(M):
     return np.abs(np.fft.ifft(f, axis=1) * M), gap
 
 
+def _a_sum(q, bar, t, chiv=None):
+    """(total, count): the sum over a mod q of chiv[a] S(bar a, bar t; q)
+    e(-bar (a + t)/q) (no chiv[a] when chiv is None) and its summand count
+    q (phi(q) + 1).  Each S is a kloosterman_terms row reduced by fsum_rows,
+    so it has kloosterman's bits; the rows are gathered in blocks of at most
+    2**16 summands, and the terms are added (+=) in ascending a."""
+    ms, ns, step = [bar * a for a in range(q)], [bar * t] * q, max(1, 2**16 // q)
+    sums = [s for lo in range(0, q, step)
+            for s in fsum_rows(kloosterman_terms(ms[lo:lo + step], ns[lo:lo + step], q))]
+    roots, total = unit_roots(q), 0j
+    for a, s in enumerate(sums):
+        root = roots[(-bar * (a + t)) % q]
+        total += s * root if chiv is None else chiv[a] * s * root
+    return total, q * (euler_phi(q) + 1)
+
+
+def c1_sums(c, p, M, n, ell):
+    """(raw, closed) of the c1 identity: with bar = (pM)^-1 mod c, the sum
+    over a mod c of S(bar a, bar n ell; c) e(-bar (a + n ell)/c) equals c.
+    The raw a-sum carries 4 UNIT_EPS per summand, the closed value none."""
+    total, count = _a_sum(c, mod_inv(p * M, c), n * ell)
+    return ExpSumValue(total, count, 4 * UNIT_EPS * count), ExpSumValue(complex(c), c, 0.0)
+
+
+def c2_sums(M, chi, p, c, n, ell):
+    """(raw, closed) of the c2 identity: with bar = (pc)^-1 mod M, the sum
+    over a mod M of chi(a) S(bar a, bar n ell; M) e(-bar (a + n ell)/M)
+    equals chi(pc) g_chi D(bar n ell; M).  Both carry 6 UNIT_EPS per summand."""
+    bar = mod_inv(p * c, M)
+    total, count = _a_sum(M, bar, n * ell, chi.value_array())
+    d = d_sum(bar * n * ell, M, chi)
+    closed = chi.eval(p * c) * gauss_sum(chi).value * d.value
+    return (ExpSumValue(total, count, 6 * UNIT_EPS * count),
+            ExpSumValue(closed, M * d.terms, 6 * UNIT_EPS * M * d.terms))
+
+
 def _check_psi_average(pairs, c, p, M):
     if min([c, *map(min, pairs)]) < 1:
         raise InvalidValue("r, m, c must be positive")
@@ -401,20 +450,6 @@ def _check_psi_average(pairs, c, p, M):
             raise NotPrime(f"{q} is not an odd prime")
     if p == M:
         raise ParameterInconsistency("p and M must be distinct primes")
-
-
-@dataclass(frozen=True)
-class PsiAverageParams:
-    """Parameters of the odd-character average of twisted Kloosterman sums."""
-
-    r: int
-    m: int
-    c: int
-    p: int
-    M: int
-
-    def __post_init__(self):
-        _check_psi_average(((self.r, self.m),), self.c, self.p, self.M)
 
 
 def psi_average_sums_raw(pairs, c, p, M):
@@ -477,13 +512,13 @@ def psi_average_sums_closed(pairs, c, p, M):
     return values
 
 
-def psi_average_raw(params):
+def psi_average_raw(r, m, c, p, M):
     """sum over psi mod p of (1 - psi(-1)) S_psi(r, m; cpM), directly: the
     one entry of psi_average_sums_raw."""
-    return psi_average_sums_raw(((params.r, params.m),), params.c, params.p, params.M)[0]
+    return psi_average_sums_raw(((r, m),), c, p, M)[0]
 
 
-def psi_average_closed(params):
+def psi_average_closed(r, m, c, p, M):
     """Exact orthogonality evaluation of psi_average_raw: the one entry of
     psi_average_sums_closed.
 
@@ -492,7 +527,7 @@ def psi_average_closed(params):
     p - 1 and the two sign terms enter as a difference; both follow from
     summing psi over the full character group mod p.
     """
-    return psi_average_sums_closed(((params.r, params.m),), params.c, params.p, params.M)[0]
+    return psi_average_sums_closed(((r, m),), c, p, M)[0]
 
 
 def _c3_context(v, M, chi):
@@ -733,8 +768,6 @@ def twisted_split_check(n, p, M, r, ell, c, psi):
     Ramanujan sum c_M(unit) = -1, and the remaining factor of rhs1
     evaluates exactly to psi(r ell) conj(psi)(c M) g_{conj(psi)} S(...).
     """
-    from .characters import gauss_sum
-
     if M % 2 == 0 or not is_prime(M):
         raise NotPrime(f"M = {M} is not an odd prime")
     if gcd(r * ell, M) != 1:
@@ -751,7 +784,7 @@ def twisted_split_check(n, p, M, r, ell, c, psi):
         return lhs, rhs1, None
     mbar_c = mbar_cp % c if c > 1 else 0
     s = kloosterman(n, r * ell * mbar_c, c)
-    front = psi.eval(r * ell) * psi.conjugate().eval(c * M) * gauss_sum(psi.conjugate())
+    front = psi.eval(r * ell) * psi.conjugate().eval(c * M) * gauss_sum(psi.conjugate()).value
     value = -front * s.value
     terms = s.terms * p
     est = abs(front) * s.est_error + abs(s.value) * (p * UNIT_EPS + 3 * UNIT_EPS * abs(front))

@@ -4,7 +4,8 @@ Every suite walks a deterministic grid (seeded through the documented LCG
 when it is random), evaluates the raw and closed-form routes of one
 identity or one bound, and reports the worst normalized deviation and its
 witness.  Pass thresholds are the owning modules' tolerances and screen
-slacks their error bounds (`bessel-decay`'s two thresholds belong to no
+slacks their error bounds (`bessel-decay`'s two thresholds, NEGLIGIBLE and
+TRIVIAL_RATIO_CEILING, and `c3`'s C3_DIAGONAL_TOLERANCE belong to no
 kernel and live here): the suites add no slack of their own.
 
 Only this module sweeps cases and builds reports; the kernels only
@@ -33,12 +34,12 @@ from fractions import Fraction
 import numpy as np
 
 from . import expsums
-from .characters import DirichletCharacter, gauss_sum, unit_roots
+from .characters import DirichletCharacter
 from .errors import BudgetExceeded, InvalidValue
 from .exponent import minimize_max, paper_bound_problem, staged_elimination
 from .expsums import (
-    ExpSumValue,
-    PsiAverageParams,
+    c1_sums,
+    c2_sums,
     c3_closed,
     c3_raw,
     c4_correlation,
@@ -137,8 +138,8 @@ def _batched_deviations(lhs, rhs, terms, tolerance_scale):
 # ---------------------------------------------------------------- psi average
 
 def psi_average_case(r, m, c, p, M, tolerance_scale=1.0):
-    params = PsiAverageParams(r, m, c, p, M)
-    return _deviation(psi_average_raw(params), psi_average_closed(params), tolerance_scale)
+    return _deviation(psi_average_raw(r, m, c, p, M), psi_average_closed(r, m, c, p, M),
+                      tolerance_scale)
 
 
 def suite_psi_average(grid=None, tolerance_scale=1.0):
@@ -202,18 +203,7 @@ def suite_reciprocity(trials=10**4, seed=1):
 # ------------------------------------------------------------------------ c1
 
 def c1_case(c, p, M, n, ell, tolerance_scale=1.0):
-    """sum over a mod c of S(pbar Mbar a, pbar Mbar n ell; c) e(-(pM)bar (a+n ell)/c) = c."""
-    pm_bar = mod_inv(p * M, c)
-    roots = unit_roots(c)
-    total = 0j
-    terms = 0
-    for a in range(c):
-        s = kloosterman(pm_bar * a, pm_bar * n * ell, c)
-        total += s.value * roots[(-pm_bar * (a + n * ell)) % c]
-        terms += s.terms + 1
-    lhs = ExpSumValue(total, max(terms, 1), 4 * expsums.UNIT_EPS * max(terms, 1))
-    rhs = ExpSumValue(complex(c), c, 0.0)
-    return _deviation(lhs, rhs, tolerance_scale)
+    return _deviation(*c1_sums(c, p, M, n, ell), tolerance_scale)
 
 
 def suite_c1(c_max=20, seed=2, tolerance_scale=1.0):
@@ -237,22 +227,8 @@ def suite_c1(c_max=20, seed=2, tolerance_scale=1.0):
 # ------------------------------------------------------------------------ c2
 
 def c2_case(M, chi_index, p, c, n, ell, tolerance_scale=1.0):
-    """Raw a-sum against chi(pc) g_chi D(pbar cbar n ell; M)."""
     chi = DirichletCharacter.from_index(M, chi_index)
-    pc_bar = mod_inv(p * c, M)
-    chiv = chi.value_array()
-    roots = unit_roots(M)
-    total = 0j
-    terms = 0
-    for a in range(M):
-        s = kloosterman(pc_bar * a, pc_bar * n * ell, M)
-        total += chiv[a] * s.value * roots[(-pc_bar * (a + n * ell)) % M]
-        terms += s.terms + 1
-    lhs = ExpSumValue(total, max(terms, 1), 6 * expsums.UNIT_EPS * max(terms, 1))
-    d = d_sum(pc_bar * n * ell, M, chi)
-    closed = chi.eval(p * c) * gauss_sum(chi) * d.value
-    rhs = ExpSumValue(closed, M * d.terms, 6 * expsums.UNIT_EPS * M * d.terms)
-    return _deviation(lhs, rhs, tolerance_scale)
+    return _deviation(*c2_sums(M, chi, p, c, n, ell), tolerance_scale)
 
 
 def suite_c2(M_list=(5, 7), seed=3, tolerance_scale=1.0):
@@ -287,7 +263,7 @@ def _c3_check(M, chi, v, tolerance_scale):
     dev = _deviation(raw, closed, tolerance_scale)
     if v % M == 1:
         dev = max(dev, float(abs(round(raw.value.real) - M * (M - 2))),
-                  abs(raw.value - round(raw.value.real)) / 1e-6)
+                  abs(raw.value - round(raw.value.real)) / C3_DIAGONAL_TOLERANCE)
     else:
         dev = max(dev, abs(raw.value) / (3 * M))
     return dev, closed
@@ -458,11 +434,10 @@ def suite_weil(c_max=2000, pairs_per_c=20, seed=5):
     draws = (rng.next_u32_block(size) % np.uint64(10**6)).astype(np.int64) + 1  # rng.below
     ms, ns = draws[0::2], draws[1::2]
     cs = np.repeat(np.arange(1, c_max + 1, dtype=np.int64), pairs)
-    sums, phi, divisors = expsums.kloosterman_screen(ms, ns, cs)
-    expsums.check_rows(sums, phi, expsums.UNIT_EPS * phi)
+    sums, est, gap, divisors = expsums.kloosterman_screen(ms, ns, cs)
     # gcd(m, n, c), taking the small c first: fewer Euclid steps, same integers
-    scale = divisors * np.sqrt(np.gcd(np.gcd(ms, cs), ns) * cs) + expsums.UNIT_EPS * phi
-    sweep.offer(np.abs(sums) / scale, expsums.SCREEN_SLACK * phi / scale,
+    scale = divisors * np.sqrt(np.gcd(np.gcd(ms, cs), ns) * cs) + est
+    sweep.offer(np.abs(sums) / scale, gap / scale,
                 lambda i: (int(ms[i]), int(ns[i]), int(cs[i])), weil_case)
     return sweep.report("weil", {"c_max": c_max, "pairs_per_c": pairs_per_c, "seed": seed})
 
@@ -498,6 +473,7 @@ DECAY_EPS = 0.01
 DECAY_CUTOFF = transition_cutoff(TOY_PARAMS.N, TOY_L, TOY_P, TOY_PARAMS.M, TOY_PARAMS.m,
                                  DECAY_EPS)
 NEGLIGIBLE = 1e-15  # the |I| ceiling once t >= 4
+C3_DIAGONAL_TOLERANCE = 1e-6  # c3 at v = 1: |raw - round(raw.real)| per unit of deviation
 TRIVIAL_RATIO_CEILING = 100.0  # the second-derivative bound, with a generous constant
 
 

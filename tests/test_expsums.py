@@ -1,10 +1,12 @@
 import cmath
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
 
-from deltasum.characters import DirichletCharacter, enumerate_characters
+from deltasum import suites
+from deltasum.characters import DirichletCharacter, enumerate_characters, unit_roots
 from deltasum.errors import (
     BudgetExceeded,
     InvalidValue,
@@ -19,7 +21,8 @@ from deltasum.expsums import (
     SCREEN_SLACK,
     UNIT_EPS,
     ExpSumValue,
-    PsiAverageParams,
+    c1_sums,
+    c2_sums,
     c3_closed,
     c3_raw,
     c4_correlation,
@@ -43,8 +46,9 @@ from deltasum.expsums import (
     voronoi_char_sums_closed,
     voronoi_char_sums_raw,
 )
-from deltasum.numcore import RationalAngle, arithmetic_functions, divisor_count
+from deltasum.numcore import RationalAngle, arithmetic_functions, divisor_count, mod_inv
 from deltasum.scan import Lcg
+from deltasum.suites import run_suite
 
 
 # ----------------------------------------------------------- oracle helpers
@@ -159,20 +163,24 @@ def _weil_grid(c_max, pairs_per_c, seed):
 def test_kloosterman_screen_within_slack_on_weil_grids(c_max, pairs_per_c, seed, c_limit):
     cases = [case for case in _weil_grid(c_max, pairs_per_c, seed) if case[2] <= c_limit]
     ms, ns, cs = (np.array(col, dtype=np.int64) for col in zip(*cases))
-    screened, phi, divisors = kloosterman_screen(ms, ns, cs)
-    for (m, n, c), got, terms, d in zip(cases, screened.tolist(), phi, divisors):
+    screened, est, gap, divisors = kloosterman_screen(ms, ns, cs)
+    for (m, n, c), got, e, g, d in zip(cases, screened.tolist(), est, gap, divisors):
         want = kloosterman(m, n, c)
-        assert abs(got - want.value) <= SCREEN_SLACK * want.terms
-        assert (terms, d) == (want.terms, divisor_count(c))
+        assert abs(got - want.value) <= g
+        assert (e, d) == (want.est_error, divisor_count(c))
 
 
 def test_kloosterman_screen_edges():
-    assert [a.shape for a in kloosterman_screen([], [], [])] == [(0,)] * 3
+    assert [a.shape for a in kloosterman_screen([], [], [])] == [(0,)] * 4
     # unsorted and repeated moduli come back in input order
-    got, phi, divisors = kloosterman_screen([3, 0, 5, 3], [7, 0, 1, 7], [30, 8, 1, 7])
+    cases = [(3, 7, 30), (0, 0, 8), (5, 1, 1), (3, 7, 7)]
+    got, est, gap, divisors = kloosterman_screen(*zip(*cases))
     want = [kloosterman(3, 7, 30).value, 4, 1, kloosterman(3, 7, 7).value]
     assert np.allclose(got, want, rtol=0, atol=1e-12)
-    assert phi.tolist() == [8, 4, 1, 6] and divisors.tolist() == [8, 4, 1, 2]
+    assert np.all(np.abs(got - want) <= gap)
+    assert est.tolist() == [kloosterman(*case).est_error for case in cases]
+    assert gap.tolist() == [SCREEN_SLACK * phi for phi in (8, 4, 1, 6)]
+    assert divisors.tolist() == [8, 4, 1, 2]
     with pytest.raises(BudgetExceeded):
         kloosterman_screen([1, 1], [1, 1], [5, 10**7 + 1])
     with pytest.raises(InvalidValue):
@@ -290,6 +298,9 @@ def test_dsum_cancellation_small():
 
 # ------------------------------------------------------------- psi average
 
+_Psi = namedtuple("_Psi", "r m c p M")  # the arguments of psi_average_raw/_closed
+
+
 def _psi_average_oracle(params):
     """Orthogonality route: (p-1) [sum_{x=1 mod p} - sum_{x=-1 mod p}]."""
     c_total = params.c * params.p * params.M
@@ -302,26 +313,26 @@ def _psi_average_oracle(params):
 
 def test_psi_average_examples():
     for tup in ((1, 1, 1, 3, 5), (2, 3, 2, 5, 7)):
-        params = PsiAverageParams(*tup)
-        raw = psi_average_raw(params)
-        closed = psi_average_closed(params)
+        params = _Psi(*tup)
+        raw = psi_average_raw(*params)
+        closed = psi_average_closed(*params)
         assert abs(raw.value - closed.value) <= identity_tolerance(
             raw.terms + closed.terms, abs(raw.value), abs(closed.value))
         assert abs(raw.value - _psi_average_oracle(params)) < 1e-9
 
 
 def test_psi_average_even_characters_cancel():
-    params = PsiAverageParams(2, 5, 2, 3, 5)
-    raw = psi_average_raw(params)
+    params = _Psi(2, 5, 2, 3, 5)
+    raw = psi_average_raw(*params)
     assert abs(raw.value - _psi_average_oracle(params)) < 1e-9
 
 
 def test_psi_average_zero_bracket():
     # r + m = 0 mod p makes the closed form vanish exactly
-    params = PsiAverageParams(1, 2, 1, 3, 5)
-    closed = psi_average_closed(params)
+    params = _Psi(1, 2, 1, 3, 5)
+    closed = psi_average_closed(*params)
     assert closed.value == 0j
-    raw = psi_average_raw(params)
+    raw = psi_average_raw(*params)
     assert abs(raw.value) <= identity_tolerance(raw.terms, abs(raw.value), 0.0)
 
 
@@ -360,11 +371,11 @@ def test_psi_average_wrappers_equal_scalar_reference():
     for p, M in ((3, 5), (5, 7), (7, 13), (11, 3)):
         for c in range(1, 8):
             for r, m in ((1, 1), (2, 9), (5, 3), (10, 10)):
-                params = PsiAverageParams(r, m, c, p, M)
+                params = _Psi(r, m, c, p, M)
                 raw, closed = _psi_average_scalar_reference(params)
-                assert _bits(psi_average_raw(params)) == _bits(raw), params
+                assert _bits(psi_average_raw(*params)) == _bits(raw), params
                 if closed is not None:
-                    assert _bits(psi_average_closed(params)) == _bits(closed), params
+                    assert _bits(psi_average_closed(*params)) == _bits(closed), params
 
 
 def test_psi_average_blocks_equal_their_entries():
@@ -372,9 +383,9 @@ def test_psi_average_blocks_equal_their_entries():
     raw = psi_average_sums_raw(pairs, 4, 5, 3)
     closed = psi_average_sums_closed(pairs, 4, 5, 3)
     for (r, m), lhs, rhs in zip(pairs, raw, closed, strict=True):
-        params = PsiAverageParams(r, m, 4, 5, 3)
-        assert _bits(lhs) == _bits(psi_average_raw(params))
-        assert _bits(rhs) == _bits(psi_average_closed(params))
+        params = _Psi(r, m, 4, 5, 3)
+        assert _bits(lhs) == _bits(psi_average_raw(*params))
+        assert _bits(rhs) == _bits(psi_average_closed(*params))
     with pytest.raises(InvalidValue):
         psi_average_sums_raw([(1, 1), (0, 2)], 4, 5, 3)
     with pytest.raises(SharedFactor):
@@ -383,10 +394,83 @@ def test_psi_average_blocks_equal_their_entries():
 
 def test_psi_average_closed_requires_coprimality():
     with pytest.raises(SharedFactor):
-        psi_average_closed(PsiAverageParams(1, 1, 3, 3, 5))
+        psi_average_closed(*_Psi(1, 1, 3, 3, 5))
     # the raw path still works there
-    raw = psi_average_raw(PsiAverageParams(1, 1, 3, 3, 5))
-    assert abs(raw.value - _psi_average_oracle(PsiAverageParams(1, 1, 3, 3, 5))) < 1e-9
+    raw = psi_average_raw(*_Psi(1, 1, 3, 3, 5))
+    assert abs(raw.value - _psi_average_oracle(_Psi(1, 1, 3, 3, 5))) < 1e-9
+
+
+# ------------------------------------------------------------------- c1, c2
+
+def _c1_reference(c, p, M, n, ell):
+    """c1's two routes as the c1 suite computed them before c1_sums: one
+    kloosterman call per residue a, its terms added (+=) in ascending a."""
+    pm_bar = mod_inv(p * M, c)
+    roots = unit_roots(c)
+    total = 0j
+    terms = 0
+    for a in range(c):
+        s = kloosterman(pm_bar * a, pm_bar * n * ell, c)
+        total += s.value * roots[(-pm_bar * (a + n * ell)) % c]
+        terms += s.terms + 1
+    lhs = ExpSumValue(total, max(terms, 1), 4 * UNIT_EPS * max(terms, 1))
+    return lhs, ExpSumValue(complex(c), c, 0.0)
+
+
+def _c2_reference(M, chi, p, c, n, ell):
+    """c2's two routes as the c2 suite computed them before c2_sums, with
+    the Gauss sum fsummed as a bare complex number."""
+    pc_bar = mod_inv(p * c, M)
+    chiv = chi.value_array()
+    roots = unit_roots(M)
+    total = 0j
+    terms = 0
+    for a in range(M):
+        s = kloosterman(pc_bar * a, pc_bar * n * ell, M)
+        total += chiv[a] * s.value * roots[(-pc_bar * (a + n * ell)) % M]
+        terms += s.terms + 1
+    lhs = ExpSumValue(total, max(terms, 1), 6 * UNIT_EPS * max(terms, 1))
+    d = d_sum(pc_bar * n * ell, M, chi)
+    g = chiv[1:] * roots[1:]
+    gauss = complex(math.fsum(g.real.tolist()), math.fsum(g.imag.tolist()))
+    closed = chi.eval(p * c) * gauss * d.value
+    return lhs, ExpSumValue(closed, M * d.terms, 6 * UNIT_EPS * M * d.terms)
+
+
+def _suite_cases(monkeypatch, suite):
+    """The arguments of every case a c1 or c2 sweep evaluates at the
+    default and the smoke grid, in order."""
+    cases = []
+    monkeypatch.setattr(suites, f"{suite}_case", lambda *args: cases.append(args[:-1]) or 0.0)
+    for preset in ("default", "smoke"):
+        run_suite(suite, preset)
+    return cases
+
+
+def test_c1_sums_equal_the_per_residue_loop(monkeypatch):
+    box = [(c, p, M, 1 + (7 * c + M) % 20, (2, 3, 5)[c % 3])
+           for c in range(1, 61) for M in (5, 7, 11, 13, 29) for p in (3, 11)
+           if math.gcd(p * M, c) == 1]
+    box += [(263, 3, 5, 7, 2), (512, 3, 7, 11, 5)]  # gathered in more than one block
+    cases = _suite_cases(monkeypatch, "c1")
+    assert (len(cases), len(box)) == (48 + 20, 429)
+    for case in cases + box:
+        want = _c1_reference(*case)
+        assert [_bits(v) for v in c1_sums(*case)] == [_bits(v) for v in want], case
+
+
+def test_c2_sums_equal_the_per_residue_loop(monkeypatch):
+    # c enters only through (pc)^-1 mod M, so every third c <= 60 suffices
+    box = [(M, chi, p, c, 1 + (c * chi.index) % 10, (2, 3, 5)[chi.index % 3])
+           for M in (5, 7, 11, 13, 29) for chi in enumerate_characters(M)[1:]
+           for c in range(1, 61, 3) for p in [(3, 11, 13)[c % 9 // 3]]
+           if math.gcd(p * c, M) == 1]
+    cases = [(M, DirichletCharacter.from_index(M, a), *rest)
+             for M, a, *rest in _suite_cases(monkeypatch, "c2")]
+    assert (len(cases), len(box)) == (27 + 7, 897)
+    for case in cases + box:
+        want = _c2_reference(*case)
+        assert [_bits(v) for v in c2_sums(*case)] == [_bits(v) for v in want], case
 
 
 # ---------------------------------------------------------------------- c3

@@ -1,7 +1,7 @@
 """Property-based checks of the Kloosterman and Ramanujan identities and of
 the batched kernels (kloosterman_terms, voronoi_char_sums_raw) against a
 pure-Python direct sum over the units, within identity_tolerance, of
-kloosterman_screen against kloosterman within the weil sweep's slack, of
+kloosterman_screen against kloosterman within the gap it returns, of
 Q/Z reciprocity, and of the dsum-cancel screen against d_sum within its gap."""
 
 import cmath
@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from deltasum.characters import DirichletCharacter
 from deltasum.expsums import (
-    SCREEN_SLACK,
     d_sum,
     dsum_screen,
     fsum_rows,
@@ -94,11 +93,11 @@ def prime_power_cases(draw):
 
 def assert_screen_matches_scalar(cases):
     ms, ns, cs = (np.array(col, dtype=np.int64) for col in zip(*cases))
-    screened, phi, _ = kloosterman_screen(ms, ns, cs)
-    for (m, n, c), got, terms in zip(cases, screened, phi):
+    screened, est, gap, _ = kloosterman_screen(ms, ns, cs)
+    for (m, n, c), got, e, g in zip(cases, screened, est, gap):
         want = kloosterman(m, n, c)
-        assert abs(got - want.value) <= SCREEN_SLACK * want.terms  # the weil sweep's slack
-        assert terms == want.terms
+        assert abs(got - want.value) <= g  # the weil sweep's slack
+        assert e == want.est_error
 
 
 @PROPERTY_SETTINGS
