@@ -292,6 +292,14 @@ def test_integral_initial_grid_above_the_panel_limit_exits_3(capsys, argv):
     assert out == "" and "131072 panels in one level" in err
 
 
+def test_integral_weight_above_the_bessel_orders_names_k(capsys):
+    code, out, err = run(capsys, "integral", "--preset", "toy", "--k", "203", "--no-cache")
+    assert code == 2
+    assert out == "" and err == ("error: the weight k must be at most 201, since the kernel "
+                                 "J_(k-1) has order at most 200; got 203\n")
+    assert run(capsys, "integral", "--preset", "toy", "--k", "199", "--no-cache")[0] == 0
+
+
 def test_integral_names_the_product_that_overflowed(capsys):
     code, out, err = run(capsys, "integral", "--preset", "toy", "--N", "1e308", "--no-cache")
     assert code == 3

@@ -145,3 +145,36 @@ def test_bound_checks_see_names_attributes_imports_and_calls():
         ("render", "ExpSumValue"), ("suite_weil", "SCREEN_SLACK"),
         ("suite_weil", "TRANSFORM_EPS")]
     assert _constructs(tree, "ExpSumValue") == ["_gauss", "c1_case"]
+
+
+# The window integral takes its transcendentals from libm: numpy's exp, cos,
+# ... may take a SIMD kernel whose last bit differs with the CPU (np.exp
+# differs from math.exp on about 4.6% of arguments in [-50, 0] under
+# AVX-512), which would tie the integral's pinned bits to the host.
+# np.sqrt is correctly rounded at every level and may stay.
+NUMPY_TRANSCENDENTALS = {"exp", "exp2", "expm1", "log", "log2", "log10", "log1p",
+                         "cos", "sin", "tan", "cosh", "sinh", "tanh", "arccos",
+                         "arcsin", "arctan", "arctan2", "power", "float_power"}
+
+
+def _numpy_transcendentals(tree):
+    """np.<f>/numpy.<f> uses and `from numpy import <f>` for every listed f."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in NUMPY_TRANSCENDENTALS
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            yield ast.unparse(node)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            yield from (f"{node.module}.{alias.name}" for alias in node.names
+                        if alias.name in NUMPY_TRANSCENDENTALS)
+
+
+def test_oscillatory_calls_no_numpy_transcendental():
+    tree = ast.parse((PACKAGE / "oscillatory.py").read_text(encoding="utf-8"))
+    assert list(_numpy_transcendentals(tree)) == []
+
+
+def test_transcendental_check_sees_attributes_and_imports():
+    tree = ast.parse("import numpy as np\nfrom numpy import cos, sqrt\n"
+                     "def f(y):\n    return np.exp(y) * numpy.power(y, 2) + math.sin(1.0)"
+                     " + np.sqrt(y) + cos(y)\n")
+    assert sorted(_numpy_transcendentals(tree)) == ["np.exp", "numpy.cos", "numpy.power"]

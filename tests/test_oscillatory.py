@@ -15,6 +15,8 @@ from deltasum.oscillatory import (
     _miller_run,
     _miller_start,
     _miller_starts,
+    _series_j,
+    _series_j_batch,
     bessel_j,
     integral_value_and_error,
     transition_cutoff,
@@ -117,6 +119,47 @@ def test_window_plateau():
     assert 0 < w(3.0, M) < 1
     with pytest.raises(OutOfRange):
         WindowFunction("plateau", -0.1)
+
+
+def _smoothstep(t):
+    if t <= 0.0:
+        return 0.0
+    if t >= 1.0:
+        return 1.0
+    a = math.exp(-1.0 / t)
+    b = math.exp(-1.0 / (1.0 - t))
+    return a / (a + b)
+
+
+def _window_reference(window, y, M):
+    """The scalar window formula that WindowFunction.values replaced."""
+    if window.kind == "bump":
+        t = 2.0 * (y - 1.5)
+        if abs(t) >= 1.0:
+            return 0.0
+        return math.exp(1.0 - 1.0 / (1.0 - t * t))
+    a = float(M) ** (-4.0 * window.theta)
+    if y <= a or y >= 4.0:
+        return 0.0
+    return _smoothstep((y - a) / a) * _smoothstep((4.0 - y) / 2.0)
+
+
+def _around(*points):
+    return [v for p in points for v in (math.nextafter(p, -math.inf), p,
+                                        math.nextafter(p, math.inf))]
+
+
+@pytest.mark.parametrize("kind, theta, M", [
+    ("plateau", TOY_THETA, 10**4), ("plateau", 0.0, 10**4), ("plateau", 0.1, 7),
+    ("bump", 0.0, 10**4)])
+def test_window_values_equal_scalar_formula_bit_for_bit(kind, theta, M):
+    window = WindowFunction(kind, theta)
+    a = float(M) ** (-4.0 * theta)
+    ys = np.linspace(0.0, 5.0, 1001).tolist() + [1e-300, 0.5 * a, 1.5 * a, 3.0, 1.25, 1.75]
+    ys += _around(a, 2.0 * a, 2.0, 4.0, 1.0, 1.5, 2.0)  # 1 and 2 are |t| = 1 for the bump
+    want = [_window_reference(window, y, M).hex() for y in ys]
+    assert [v.hex() for v in window.values(np.array(ys), M).tolist()] == want
+    assert [window(y, M).hex() for y in ys] == want
 
 
 def test_integral_empty_support_is_zero():
@@ -241,6 +284,40 @@ def test_bessel_array_equals_scalar_bit_for_bit(nu):
     got = bessel_j(nu, xs)
     assert got.shape == xs.shape
     assert [v.hex() for v in got.tolist()] == [bessel_j(nu, x).hex() for x in xs.tolist()]
+
+
+def _series_points(nu):
+    """Series-regime x for J_nu: log-spaced from 1e-6 (where the first loop
+    underflows at large nu, and the second one at some nu) up to the regime's
+    edge, whose elements leave the loop at different j."""
+    edge = math.sqrt(4.0 * (nu + 1))
+    while edge * edge > 4.0 * (nu + 1):
+        edge = math.nextafter(edge, 0.0)
+    return np.geomspace(1e-6, edge, 60).tolist() + [1e-3, math.nextafter(edge, 0.0), edge]
+
+
+def test_series_batch_equals_scalar_bit_for_bit():
+    for nu in range(MAX_BESSEL_ORDER + 1):
+        xs = _series_points(nu)
+        got = _series_j_batch(nu, np.array(xs))
+        assert [v.hex() for v in got.tolist()] == [_series_j(nu, x).hex() for x in xs], nu
+    assert _series_j(200, 1e-3) == 0.0  # the first loop underflows
+    assert len({_series_stop(42, x) for x in _series_points(42)}) > 5
+
+
+def _series_stop(nu, x):
+    """The j at which _series_j leaves its second loop at x."""
+    half = 0.5 * x
+    term = 1.0
+    for i in range(1, nu + 1):
+        term *= half / i
+    total = term
+    for j in range(1, 400):
+        term *= -half * half / (j * (nu + j))
+        total += term
+        if abs(term) <= 1e-17 * max(abs(total), 1e-280):
+            return j
+    return 400
 
 
 def test_bessel_array_rejects_bad_elements():
@@ -368,13 +445,13 @@ def test_integral_simpson_cross_check():
     coeff = 4 * math.pi * math.sqrt(params.N * params.n) * params.ell / cpm
     const = params.n * params.ell / cpm
 
-    def f(y):
+    def f(y, v):
         return (cmath.exp(2j * math.pi * (freq * y + const))
-                * bessel_j(params.k - 1, coeff * math.sqrt(y)) * window(y, params.M))
+                * bessel_j(params.k - 1, coeff * math.sqrt(y)) * v)
 
     n_pts = 40001  # fixed-grid composite Simpson at double-ish resolution
     ys = np.linspace(lo, hi, n_pts)
-    vals = [f(float(y)) for y in ys]
+    vals = [f(y, v) for y, v in zip(ys.tolist(), window.values(ys, params.M).tolist())]
     h = (hi - lo) / (n_pts - 1)
     simpson = vals[0] + vals[-1]
     simpson += 4 * sum(vals[1:-1:2]) + 2 * sum(vals[2:-1:2])

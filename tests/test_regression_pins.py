@@ -22,6 +22,11 @@ perfbench/meta.json's entry for dsum-cancel.
 """
 
 import hashlib
+import os
+import pathlib
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -129,3 +134,32 @@ def test_integral_bits_independent_of_batch_size(c, monkeypatch):
 
     monkeypatch.setattr(oscillatory, "_MAX_BATCH_NODES", 45)  # three panels per call
     test_integral_bits_pinned("plateau", c, 1e-12)
+
+
+# numpy picks its SIMD kernels at run time; NPY_ENABLE_CPU_FEATURES limits a
+# process to the listed level.  The window integral takes its transcendentals
+# from libm and its other array operations are correctly rounded at every
+# level, so its pins must not move with the CPU.
+OSCILLATORY_PINS = ["test_integral_bits_pinned",
+                    "test_smoke_report_bytes_pinned[bessel-decay]",
+                    "test_default_report_bytes_pinned[bessel-decay]"]
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the CPU feature levels are x86-64 ones")
+@pytest.mark.parametrize("level", ["SSE42", "X86_V3"])
+def test_integral_pins_hold_at_cpu_level(level):
+    here = pathlib.Path(__file__).resolve()
+    src = str(here.parent.parent / "src")
+    env = dict(os.environ, NPY_ENABLE_CPU_FEATURES=level,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = subprocess.run([sys.executable, "-c", "import numpy"], env=env,
+                           capture_output=True, text=True, timeout=60)
+    if probe.returncode:
+        pytest.skip(f"numpy does not run at {level} on this host: {probe.stderr[-200:]}")
+    ids = [f"{here}::{name}" for name in OSCILLATORY_PINS]
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "-o", "addopts=", *ids], env=env, cwd=here.parent.parent,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-2000:]
+    assert f"{len(INTEGRAL_BITS) + 2} passed" in done.stdout
