@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidValue, LimitExceeded, NotPrime
-from .numcore import RationalAngle, factorize, is_prime, reduce_mod, table_memo
+from .numcore import RationalAngle, check_odd_prime, factorize, reduce_mod, table_memo
 
 MAX_CHARACTER_MODULUS = 10**6
 
@@ -118,9 +118,8 @@ def unit_roots(n):
     return w
 
 
-def _check_odd_prime(q):
-    if q < 3 or q % 2 == 0 or not is_prime(q):
-        raise NotPrime(f"{q} is not an odd prime")
+def _check_character_modulus(q):
+    check_odd_prime(q)
     if q > MAX_CHARACTER_MODULUS:
         raise LimitExceeded(f"character modulus {q} exceeds {MAX_CHARACTER_MODULUS}")
 
@@ -134,7 +133,7 @@ class DirichletCharacter:
 
     @classmethod
     def from_index(cls, q, index):
-        _check_odd_prime(q)
+        _check_character_modulus(q)
         return cls(q, index % (q - 1))
 
     @classmethod
@@ -173,7 +172,7 @@ class DirichletCharacter:
 def character_rows(q, indices):
     """chi at residues 0..q-1 of each index's character mod the odd prime q,
     a row each; rows of equal index are equal bit for bit."""
-    _check_odd_prime(q)
+    _check_character_modulus(q)
     dlog = discrete_log_table(q)
     rows = np.zeros((len(indices), q), dtype=np.complex128)
     idx = reduce_mod(np.multiply.outer(np.asarray(indices, dtype=np.int64), dlog[1:]), q - 1)
@@ -183,5 +182,5 @@ def character_rows(q, indices):
 
 def enumerate_characters(q):
     """All q-1 characters mod the odd prime q, by ascending index."""
-    _check_odd_prime(q)
+    _check_character_modulus(q)
     return [DirichletCharacter(q, a) for a in range(q - 1)]

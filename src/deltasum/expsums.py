@@ -2,17 +2,9 @@
 
 Conventions shared by every sum here:
 
-* summation order is ascending residue, and the reduction is fixed per
-  sum, so results are reproducible.  Most sums reduce by math.fsum,
-  which is correctly rounded and so order-free.  Four do not: c3_raw
-  adds its terms one by one (+=) in ascending b, c3_closed uses numpy's
-  pairwise ndarray.sum, _kloosterman_row (the two Kloosterman rows under
-  c4_correlation) uses np.sum, also pairwise, for each y, and c1_sums and
-  c2_sums fsum each S of their a-sum and add its terms (+=) in ascending
-  a; c4_correlation's own sum over a is an fsum.  psi_average_raw fsums
-  each character's row and adds the rows (+=) in character order, and
-  psi_average_closed multiplies (p-1) * S * (e(w) - e(-w)) as Python
-  complex numbers, in that order;
+* every reported sum is a correctly rounded fsum (fsum_rows) of its
+  summands, nested where a sum holds sums, so results are reproducible
+  and do not depend on the order of the terms;
 * the raw sums take their roots of unity from the per-modulus tables
   unit_roots(c), which evaluate np.exp(2*pi*i*j/c) without reducing j/c;
   the closed forms evaluate theirs through RationalAngle, from the reduced
@@ -54,15 +46,16 @@ Conventions shared by every sum here:
 
 The sums share one array-level layer: a gather builds a summand matrix
 with one row per parameter tuple (kloosterman_terms), and fsum_rows
-reduces each row.  The block kernels evaluate one parameter group at
-once: voronoi_char_sums_raw/_closed one (m, m', c, d) for many (r, ell, M)
-rows and n, psi_average_sums_raw/_closed one (c, p, M) for many (r, m).
-The scalar functions are their one-entry calls, so a block entry has the
-scalar value's bits.  Sweeps may locate their worst case with an
-approximate kernel (kloosterman_screen, one FFT row per prime power, or
-dsum_screen, one per character) that returns its gap from the scalar
-function, but it only picks candidates: every number that is reported
-still comes from the scalar function, with the reduction stated above.
+reduces each row; _kloosterman_sums gathers many Kloosterman rows of one
+modulus in blocks of at most 2**16 summands.  The block kernels evaluate
+one parameter group at once: voronoi_char_sums_raw/_closed one (m, m',
+c, d) for many (r, ell, M) rows and n, psi_average_sums_raw/_closed one
+(c, p, M) for many (r, m).  The scalar functions are their one-entry
+calls, so a block entry has the scalar value's bits.  Sweeps may locate
+their worst case with an approximate kernel (kloosterman_screen, one FFT
+row per prime power, or dsum_screen, one per character) that returns its
+gap from the scalar function, but it only picks candidates: every number
+that is reported still comes from the scalar function, reduced by fsum.
 """
 
 from __future__ import annotations
@@ -78,7 +71,6 @@ from .errors import (
     InvalidValue,
     LimitExceeded,
     ModulusMismatch,
-    NotPrime,
     NotUnit,
     ParameterInconsistency,
     PrincipalCharacter,
@@ -87,6 +79,7 @@ from .errors import (
 from .numcore import (
     RationalAngle,
     check_modulus,
+    check_odd_prime,
     euler_phi,
     factorize,
     is_prime,
@@ -227,6 +220,15 @@ def kloosterman(m, n, c, budget=DEFAULT_BUDGET):
     """S(m, n; c) = sum over units x mod c of e((m x + n x^-1)/c)."""
     terms = kloosterman_terms((m,), (n,), c, budget)
     return ExpSumValue(fsum_rows(terms)[0], terms.shape[1], UNIT_EPS * terms.shape[1])
+
+
+def _kloosterman_sums(ms, ns, c):
+    """kloosterman(m_i, n_i, c).value for every pair of ms, ns: gathers of
+    2**16 // c rows (at least one), so at most 2**16 summands each when
+    c <= 2**16, each row reduced by fsum_rows."""
+    step = max(1, 2**16 // c)
+    return [s for lo in range(0, len(ms), step)
+            for s in fsum_rows(kloosterman_terms(ms[lo:lo + step], ns[lo:lo + step], c))]
 
 
 def _kloosterman_unit_row(q):
@@ -371,8 +373,7 @@ def _require_nonprincipal(chi, M):
         raise ModulusMismatch(f"character modulus {chi.modulus} != {M}")
     if chi.is_principal:
         raise PrincipalCharacter("the sum needs a non-principal character")
-    if not is_prime(M) or M % 2 == 0:
-        raise NotPrime(f"{M} is not an odd prime")
+    check_odd_prime(M)
 
 
 def d_sum(u, M, chi):
@@ -395,8 +396,7 @@ def dsum_screen(M):
     M - 2 roots per row, each within UNIT_EPS, so M ifft(f) is within
     (TRANSFORM_EPS log2 M + UNIT_EPS) M of D (module docstring), and d_sum
     within its est_error 2 UNIT_EPS (M - 2)."""
-    if M % 2 == 0 or not is_prime(M):
-        raise NotPrime(f"{M} is not an odd prime")
+    check_odd_prime(M)
     dlog = discrete_log_table(M)
     ts = np.arange(1, M - 1)  # the columns t, and the indices a of the rows
     f = np.zeros((M - 2, M), dtype=np.complex128)
@@ -409,17 +409,15 @@ def dsum_screen(M):
 def _a_sum(q, bar, t, chiv=None):
     """(total, count): the sum over a mod q of chiv[a] S(bar a, bar t; q)
     e(-bar (a + t)/q) (no chiv[a] when chiv is None) and its summand count
-    q (phi(q) + 1).  Each S is a kloosterman_terms row reduced by fsum_rows,
-    so it has kloosterman's bits; the rows are gathered in blocks of at most
-    2**16 summands, and the terms are added (+=) in ascending a."""
-    ms, ns, step = [bar * a for a in range(q)], [bar * t] * q, max(1, 2**16 // q)
-    sums = [s for lo in range(0, q, step)
-            for s in fsum_rows(kloosterman_terms(ms[lo:lo + step], ns[lo:lo + step], q))]
-    roots, total = unit_roots(q), 0j
+    q (phi(q) + 1).  Each S comes from _kloosterman_sums, so it has
+    kloosterman's bits; each term is a product of scalars, and the terms
+    are reduced by fsum_rows."""
+    sums = _kloosterman_sums([bar * a for a in range(q)], [bar * t] * q, q)
+    roots, terms = unit_roots(q), []
     for a, s in enumerate(sums):
         root = roots[(-bar * (a + t)) % q]
-        total += s * root if chiv is None else chiv[a] * s * root
-    return total, q * (euler_phi(q) + 1)
+        terms.append(s * root if chiv is None else chiv[a] * s * root)
+    return fsum_rows(np.array([terms]))[0], q * (euler_phi(q) + 1)
 
 
 def c1_sums(c, p, M, n, ell):
@@ -445,9 +443,8 @@ def c2_sums(M, chi, p, c, n, ell):
 def _check_psi_average(pairs, c, p, M):
     if min([c, *map(min, pairs)]) < 1:
         raise InvalidValue("r, m, c must be positive")
-    for q in (p, M):
-        if q % 2 == 0 or not is_prime(q):
-            raise NotPrime(f"{q} is not an odd prime")
+    check_odd_prime(p)
+    check_odd_prime(M)
     if p == M:
         raise ParameterInconsistency("p and M must be distinct primes")
 
@@ -456,11 +453,12 @@ def psi_average_sums_raw(pairs, c, p, M):
     """psi_average_raw at every (r, m) of pairs, at one (c, p, M): a list
     of ExpSumValue in the order of pairs.
 
-    The summands of every pair are one kloosterman_terms gather.  Each pair
-    is then reduced on its own: one characters x units block holds the
-    twisted summands of every odd character (the even ones carry weight 0),
-    and its rows are reduced with fsum and added (+=) in character order, so
-    tolist() never holds more than one pair's block.
+    The summands of every pair are one kloosterman_terms gather.  For each
+    pair, one characters x units block holds the twisted summands of every
+    odd character (the even ones carry weight 0), and fsum_rows reduces its
+    rows, so tolist() never holds more than one pair's block.  One more
+    fsum_rows call reduces the character values of every pair, and each
+    total is doubled.
     """
     _check_psi_average(pairs, c, p, M)
     c_total = c * p * M
@@ -469,35 +467,29 @@ def psi_average_sums_raw(pairs, c, p, M):
     psi = character_rows(p, range(1, p - 1, 2))[:, xs % p]  # the odd ones: psi(-1) = (-1)**index
     row_est = 2 * UNIT_EPS * xs.size  # twisted_kloosterman's bound for one character
     count = (p - 1) * xs.size
-    blocks = [fsum_rows(psi * row) for row in summands]
-    check_rows(blocks, xs.size, row_est)
-    values = []
-    for rows in blocks:
-        total, est = 0j, 0.0
-        for value in rows:
-            total += 2 * value
-            est += 2 * row_est
-        values.append(ExpSumValue(total, count, est + UNIT_EPS * count))
-    return values
+    rows = np.array([fsum_rows(psi * row) for row in summands])
+    check_rows(rows, xs.size, row_est)
+    est = (p - 1) * row_est + UNIT_EPS * count
+    return [ExpSumValue(2 * total, count, est) for total in fsum_rows(rows)]
 
 
 def psi_average_sums_closed(pairs, c, p, M):
     """psi_average_closed at every (r, m) of pairs, at one (c, p, M): a list
     of ExpSumValue in the order of pairs.
 
-    The sums S(pbar r, pbar m; cM) of every pair are one kloosterman_terms
-    gather reduced by fsum_rows; each value is then the Python-complex
-    product (p-1) * S * (e(w) - e(-w)).
+    The sums S(pbar r, pbar m; cM) of every pair come from
+    _kloosterman_sums; each value is then the Python-complex product
+    (p-1) * S * (e(w) - e(-w)).
     """
     _check_psi_average(pairs, c, p, M)
     cM = c * M
     if gcd(p, cM) != 1:
         raise SharedFactor(f"gcd(p, cM) = {gcd(p, cM)} > 1")
     pbar = mod_inv(p, cM)
-    terms = kloosterman_terms([pbar * r for r, _ in pairs], [pbar * m for _, m in pairs], cM)
-    sums = fsum_rows(terms)
-    s_est = UNIT_EPS * terms.shape[1]  # kloosterman's bound
-    check_rows(sums, terms.shape[1], s_est)
+    sums = _kloosterman_sums([pbar * r for r, _ in pairs], [pbar * m for _, m in pairs], cM)
+    phi = euler_phi(cM)
+    s_est = UNIT_EPS * phi  # kloosterman's bound
+    check_rows(sums, phi, s_est)
     cm_bar = mod_inv(cM, p)
     count = (p - 1) * euler_phi(c * p * M)
     brackets = {}  # e(w) - e(-w), which depends on (r + m) mod p only
@@ -542,10 +534,11 @@ def c3_raw(v, M, chi):
     """Autocorrelation of D over the scaling v, as the congruence pair sum.
 
     M * sum over admissible b, b' mod M with b'^-1 = 1 + (b^-1 - 1)v of
-    conj(chi)(b-1) chi(b'-1); enumerated directly over b and added with +=.
+    conj(chi)(b-1) chi(b'-1); enumerated directly over b, each term a
+    product of scalars, and the terms reduced by fsum_rows.
     """
     v, inv, chiv = _c3_context(v, M, chi)
-    total = 0j
+    terms = []
     for b in range(2, M):
         ib = int(inv[b - 1])
         w = (1 + (ib - 1) * v) % M
@@ -554,33 +547,22 @@ def c3_raw(v, M, chi):
         bp = int(inv[w - 1])
         if bp <= 1:
             continue
-        total += chiv[b - 1].conjugate() * chiv[bp - 1]
-    terms = M * (M - 2)
-    return ExpSumValue(M * total, terms, 2 * UNIT_EPS * terms)
+        terms.append(chiv[b - 1].conjugate() * chiv[bp - 1])
+    total = fsum_rows(np.array([terms], dtype=np.complex128))[0]
+    count = M * (M - 2)
+    return ExpSumValue(M * total, count, 2 * UNIT_EPS * count)
 
 
 def c3_closed(v, M, chi):
     """Closed form M * sum over b mod M, b != 0,1 of conj(chi)(1 + b(v^-1 - 1)),
-    reduced by numpy's pairwise ndarray.sum."""
+    reduced by fsum_rows."""
     v, inv, chiv = _c3_context(v, M, chi)
     vbar = int(inv[v - 1])
     bs = np.arange(2, M, dtype=np.int64)
     idx = (1 + bs * (vbar - 1)) % M
-    total = np.conj(chiv)[idx].sum()  # chi(0) = 0 drops the two excluded shifts
+    total = fsum_rows(np.conj(chiv)[idx][None])[0]  # chi(0) = 0 drops the two excluded shifts
     terms = M * (M - 2)
-    return ExpSumValue(M * complex(total), terms, 2 * UNIT_EPS * terms)
-
-
-def _kloosterman_row(m1, modulus):
-    """S(m1, y; modulus) for every y mod modulus, as a complex array; each
-    S is reduced by numpy's pairwise np.sum."""
-    xs, inv = units_and_inverses(modulus)
-    w = unit_roots(modulus)
-    base = w[(m1 % modulus) * xs % modulus]
-    out = np.zeros(modulus, dtype=np.complex128)
-    for y in range(modulus):
-        out[y] = complex(np.sum(base * w[(y * inv) % modulus]))
-    return out
+    return ExpSumValue(M * total, terms, 2 * UNIT_EPS * terms)
 
 
 def c4_correlation(c2, q2_tilde, p, p_prime, q1, m_dprime, M, h, n,
@@ -600,7 +582,7 @@ def c4_correlation(c2, q2_tilde, p, p_prime, q1, m_dprime, M, h, n,
     big = r_prime * ell * ell_prime
     check_budget(big, budget)
     phi1, phi2 = euler_phi(mod1), euler_phi(mod2)
-    row = max(mod1 * phi1, mod2 * phi2)  # the summands of one _kloosterman_row
+    row = max(mod1 * phi1, mod2 * phi2)  # the summands of one Kloosterman row
     if row > budget:
         raise BudgetExceeded(f"a Kloosterman row of {row} summands exceeds the budget {budget}")
     if gcd(p, mod1) != 1 or gcd(p_prime, mod2) != 1:
@@ -611,8 +593,8 @@ def c4_correlation(c2, q2_tilde, p, p_prime, q1, m_dprime, M, h, n,
     m2 = (c2 - q2_tilde * mod_inv(p_prime, mod2)) % mod2
     t1 = mod_inv(q1 * q2_tilde, mod1) * (m_dprime * M * h) % mod1
     t2 = mod_inv(q1 * q2_tilde, mod2) * (m_dprime * M * h) % mod2
-    row1 = _kloosterman_row(m1, mod1)
-    row2 = _kloosterman_row(m2, mod2)
+    row1 = np.array(_kloosterman_sums([m1] * mod1, range(mod1), mod1))  # S(m1, y; mod1)
+    row2 = np.array(_kloosterman_sums([m2] * mod2, range(mod2), mod2))
     a = np.arange(big, dtype=np.int64)
     terms = row1[t1 * a % mod1] * row2[t2 * a % mod2] * unit_roots(big)[(n % big) * a % big]
     value = fsum_rows(terms[None])[0]
@@ -768,8 +750,7 @@ def twisted_split_check(n, p, M, r, ell, c, psi):
     Ramanujan sum c_M(unit) = -1, and the remaining factor of rhs1
     evaluates exactly to psi(r ell) conj(psi)(c M) g_{conj(psi)} S(...).
     """
-    if M % 2 == 0 or not is_prime(M):
-        raise NotPrime(f"M = {M} is not an odd prime")
+    check_odd_prime(M)
     if gcd(r * ell, M) != 1:
         raise ParameterInconsistency("r ell must be prime to M")
     if psi.modulus != p:

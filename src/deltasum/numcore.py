@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidValue, LimitExceeded, NotInvertible
+from .errors import InvalidValue, LimitExceeded, NotInvertible, NotPrime
 
 MAX_MODULUS = 1 << 31
 MAX_FACTOR_INPUT = 1 << 40
@@ -190,6 +190,12 @@ def is_prime(n):
             return False
         d += 6
     return True
+
+
+def check_odd_prime(q):
+    """Raise NotPrime unless q is an odd prime (parity is tested first)."""
+    if q % 2 == 0 or not is_prime(q):
+        raise NotPrime(f"{q} is not an odd prime")
 
 
 def primes_between(lo, hi):

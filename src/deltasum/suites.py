@@ -183,8 +183,11 @@ RECIPROCITY_MAX_MODULUS = 10**6  # a, b and n are drawn from 1..this
 
 
 def suite_reciprocity(trials=10**4, seed=1):
-    """Exact Q/Z reciprocity at seeded coprime (a, b) and n.  More trials
-    than expsums.DEFAULT_BUDGET raise BudgetExceeded before any draw."""
+    """Exact Q/Z reciprocity at seeded coprime (a, b) and n.  Fewer than one
+    trial raises InvalidValue, more than expsums.DEFAULT_BUDGET
+    BudgetExceeded, both before any draw."""
+    if trials < 1:
+        raise InvalidValue(f"trials must be at least 1, got {trials}")
     if trials > expsums.DEFAULT_BUDGET:
         raise BudgetExceeded(f"{trials} trials exceed the budget {expsums.DEFAULT_BUDGET}")
     sweep = _Sweep()

@@ -100,6 +100,19 @@ def test_reciprocity_trials_above_the_budget_exit_3_before_any_draw(capsys, monk
     assert out == "" and "exceed the budget 10000000" in err
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_reciprocity_without_a_trial_exits_2_before_any_draw(capsys, monkeypatch, trials):
+    from deltasum import suites
+
+    def no_draws(seed):
+        raise AssertionError("the generator was seeded")
+
+    monkeypatch.setattr(suites, "Lcg", no_draws)
+    code, out, err = run(capsys, "verify", "reciprocity", "--trials", str(trials))
+    assert code == 2
+    assert out == "" and f"trials must be at least 1, got {trials}" in err
+
+
 def test_zero_budget_is_honoured(capsys):
     code, out, err = run(capsys, "sum", "kloosterman", "--m", "1", "--n", "1",
                          "--c", "100", "--budget", "0", "--no-cache")
@@ -185,16 +198,16 @@ SUM_STDOUT = {
         '"est_error": 3.6000000000000004e-14}\n',
         "-1.403729412986023,1.6199901007675586,9,3.6000000000000004e-14\n"),
     "c3": (
-        "value = -7.600813061875578 + -10.46162167924669i  (terms=99, "
+        "value = -7.600813061875581 + -10.46162167924669i  (terms=99, "
         "est_error=3.9600000000000003e-13)\n",
-        '{"re": -7.600813061875578, "im": -10.46162167924669, "terms": 99, '
+        '{"re": -7.600813061875581, "im": -10.46162167924669, "terms": 99, '
         '"est_error": 3.9600000000000003e-13}\n',
-        "-7.600813061875578,-10.46162167924669,99,3.9600000000000003e-13\n"),
+        "-7.600813061875581,-10.46162167924669,99,3.9600000000000003e-13\n"),
     "c4": (
-        "value = -65.46642919516698 + 82.09230565914324i  (terms=10080, est_error=8.064e-11)\n",
-        '{"re": -65.46642919516698, "im": 82.09230565914324, "terms": 10080, '
+        "value = -65.46642919516698 + 82.09230565914315i  (terms=10080, est_error=8.064e-11)\n",
+        '{"re": -65.46642919516698, "im": 82.09230565914315, "terms": 10080, '
         '"est_error": 8.064e-11}\n',
-        "-65.46642919516698,82.09230565914324,10080,8.064e-11\n"),
+        "-65.46642919516698,82.09230565914315,10080,8.064e-11\n"),
 }
 # Every flag of `sum`, and the ones each kind reads.
 SUM_FLAGS = ("--m", "--n", "--c", "--q", "--u", "--v", "--p", "--h", "--modulus",

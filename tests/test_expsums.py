@@ -1,11 +1,12 @@
 import cmath
 import math
 from collections import namedtuple
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from deltasum import suites
+from deltasum import expsums, suites
 from deltasum.characters import DirichletCharacter, enumerate_characters, unit_roots
 from deltasum.errors import (
     BudgetExceeded,
@@ -289,6 +290,26 @@ def test_dsum_screen_takes_odd_primes_only(M):
         dsum_screen(M)
 
 
+# Every entry point that needs an odd prime; d_sum gets a stand-in
+# non-principal character of modulus q, since no character mod 9 exists.
+ODD_PRIME_ENTRY_POINTS = {
+    "d_sum": lambda q: d_sum(1, q, SimpleNamespace(modulus=q, is_principal=False)),
+    "dsum_screen": dsum_screen,
+    "psi_average (p)": lambda q: psi_average_raw(1, 1, 1, q, 5),
+    "psi_average (M)": lambda q: psi_average_closed(1, 1, 1, 3, q),
+    "twisted_split_check": lambda q: twisted_split_check(
+        1, 3, q, 1, 1, 1, DirichletCharacter.from_index(3, 1)),
+    "characters": lambda q: DirichletCharacter.from_index(q, 1),
+}
+
+
+@pytest.mark.parametrize("q", [1, 2, 9])
+@pytest.mark.parametrize("entry", ODD_PRIME_ENTRY_POINTS)
+def test_every_entry_point_needs_an_odd_prime(entry, q):
+    with pytest.raises(NotPrime, match=f"^{q} is not an odd prime$"):
+        ODD_PRIME_ENTRY_POINTS[entry](q)
+
+
 def test_dsum_cancellation_small():
     for M in (5, 7, 11, 13, 17, 19, 23):
         for chi in enumerate_characters(M)[1:]:
@@ -336,22 +357,24 @@ def test_psi_average_zero_bracket():
     assert abs(raw.value) <= identity_tolerance(raw.terms, abs(raw.value), 0.0)
 
 
+def _fsum(values):
+    """math.fsum of the real and of the imaginary parts of values."""
+    return complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
+
+
 def _psi_average_scalar_reference(params):
-    """psi_average_raw and psi_average_closed as they were before the block
-    kernels, one (r, m) at a time; the wrappers must give their bits."""
+    """psi_average_raw and psi_average_closed one (r, m) at a time, each
+    doubled character value added by fsum; the wrappers must give their
+    bits."""
     p, cM = params.p, params.c * params.M
     c_total = cM * p
     summands = kloosterman_terms((params.r,), (params.m,), c_total)
     xs, _ = units_and_inverses(c_total)
     table = np.array([psi.value_array() for psi in enumerate_characters(p) if psi.parity() == -1])
     values = fsum_rows(table[:, xs % p] * summands)
-    row_est = 2 * UNIT_EPS * xs.size
-    total, est = 0j, 0.0
-    for value in values:
-        total += 2 * value
-        est += 2 * row_est
-    count = (p - 1) * xs.size
-    raw = ExpSumValue(total, count, est + UNIT_EPS * count)
+    total = _fsum([2 * value for value in values])
+    row_est, count = 2 * UNIT_EPS * xs.size, (p - 1) * xs.size
+    raw = ExpSumValue(total, count, (p - 1) * row_est + UNIT_EPS * count)
     if math.gcd(p, cM) != 1:
         return raw, None
     pbar = pow(p, -1, cM) if cM > 1 else 0
@@ -404,35 +427,35 @@ def test_psi_average_closed_requires_coprimality():
 
 def _c1_reference(c, p, M, n, ell):
     """c1's two routes as the c1 suite computed them before c1_sums: one
-    kloosterman call per residue a, its terms added (+=) in ascending a."""
+    kloosterman call per residue a, its terms added by fsum."""
     pm_bar = mod_inv(p * M, c)
     roots = unit_roots(c)
-    total = 0j
+    summands = []
     terms = 0
     for a in range(c):
         s = kloosterman(pm_bar * a, pm_bar * n * ell, c)
-        total += s.value * roots[(-pm_bar * (a + n * ell)) % c]
+        summands.append(s.value * roots[(-pm_bar * (a + n * ell)) % c])
         terms += s.terms + 1
-    lhs = ExpSumValue(total, max(terms, 1), 4 * UNIT_EPS * max(terms, 1))
+    lhs = ExpSumValue(_fsum(summands), max(terms, 1), 4 * UNIT_EPS * max(terms, 1))
     return lhs, ExpSumValue(complex(c), c, 0.0)
 
 
 def _c2_reference(M, chi, p, c, n, ell):
     """c2's two routes as the c2 suite computed them before c2_sums, with
-    the Gauss sum fsummed as a bare complex number."""
+    the a-sum's terms added by fsum and the Gauss sum fsummed as a bare
+    complex number."""
     pc_bar = mod_inv(p * c, M)
     chiv = chi.value_array()
     roots = unit_roots(M)
-    total = 0j
+    summands = []
     terms = 0
     for a in range(M):
         s = kloosterman(pc_bar * a, pc_bar * n * ell, M)
-        total += chiv[a] * s.value * roots[(-pc_bar * (a + n * ell)) % M]
+        summands.append(chiv[a] * s.value * roots[(-pc_bar * (a + n * ell)) % M])
         terms += s.terms + 1
-    lhs = ExpSumValue(total, max(terms, 1), 6 * UNIT_EPS * max(terms, 1))
+    lhs = ExpSumValue(_fsum(summands), max(terms, 1), 6 * UNIT_EPS * max(terms, 1))
     d = d_sum(pc_bar * n * ell, M, chi)
-    g = chiv[1:] * roots[1:]
-    gauss = complex(math.fsum(g.real.tolist()), math.fsum(g.imag.tolist()))
+    gauss = _fsum(chiv[1:] * roots[1:])
     closed = chi.eval(p * c) * gauss * d.value
     return lhs, ExpSumValue(closed, M * d.terms, 6 * UNIT_EPS * M * d.terms)
 
@@ -584,6 +607,51 @@ def test_c4_degenerate_reduces_to_ramanujan_products():
     # a genuinely degenerate Kloosterman row: S(0, y; c) = ramanujan(c, y)
     for y in range(a1):
         assert abs(kloosterman_oracle(0, y, a1) - ramanujan_sum(a1, y)) < 1e-9
+
+
+def _hex(z):
+    return z.real.hex(), z.imag.hex()
+
+
+def test_c4_rows_have_kloosterman_bits(monkeypatch):
+    # every r' ell with r' <= 5 and ell in {3, 5, 7}: 14 moduli up to 35
+    calls = []
+    real = expsums._kloosterman_sums
+    monkeypatch.setattr(expsums, "_kloosterman_sums",
+                        lambda ms, ns, c: calls.append((ms, ns, c)) or real(ms, ns, c))
+    for rp in range(1, 6):
+        for l1, l2 in ((3, 5), (5, 7), (7, 3)):
+            c4_correlation(2, 1, 11, 13, 1, 1, 101, 1, 4, rp, l1, l2)
+    assert len(calls) == 30
+    assert sorted({c for _, _, c in calls}) == [3, 5, 6, 7, 9, 10, 12, 14, 15, 20, 21, 25, 28, 35]
+    for ms, ns, c in calls:
+        assert list(ns) == list(range(c)) and len(set(ms)) == 1
+        assert [_hex(s) for s in real(ms, ns, c)] == [
+            _hex(kloosterman(m, y, c).value) for m, y in zip(ms, ns)], c
+
+
+def test_kloosterman_sums_gather_at_most_2_16_summands(monkeypatch):
+    sizes = []
+    real = expsums.kloosterman_terms
+
+    def spy(ms, ns, c, *budget):
+        terms = real(ms, ns, c, *budget)
+        sizes.append(terms.size)
+        return terms
+
+    monkeypatch.setattr(expsums, "kloosterman_terms", spy)
+    for ms, ns, c in (([1, 2, 3], [5, 0, 7], 1), (list(range(263)), [3] * 263, 263),
+                      (list(range(1, 101)), list(range(100, 0, -1)), 1000),
+                      ([1, 7], [3, 2], 2**16)):
+        before = len(sizes)
+        got = expsums._kloosterman_sums(ms, ns, c)
+        assert len(sizes) - before == -(-len(ms) // max(1, 2**16 // c))
+        assert [_hex(s) for s in got] == [_hex(kloosterman(m, n, c).value)
+                                          for m, n in zip(ms, ns)], c
+    c1_sums(512, 3, 7, 11, 5)  # 512 rows of 256 summands, in 4 gathers
+    psi_average_sums_closed([(r, 1) for r in range(1, 101)], 100, 3, 7)  # cM = 700
+    c4_correlation(2, 1, 11, 13, 1, 1, 101, 1, 4, 5, 7, 3)
+    assert len(sizes) > 20 and max(sizes) <= 2**16
 
 
 def test_c4_rejects_inconsistent_parameters():

@@ -178,3 +178,70 @@ def test_transcendental_check_sees_attributes_and_imports():
                      "def f(y):\n    return np.exp(y) * numpy.power(y, 2) + math.sin(1.0)"
                      " + np.sqrt(y) + cos(y)\n")
     assert sorted(_numpy_transcendentals(tree)) == ["np.exp", "numpy.cos", "numpy.power"]
+
+
+# One reduction rule: every reported sum in expsums is an fsum (fsum_rows)
+# of its summands.  No numpy or builtin sum reduces a value, and no float or
+# complex accumulator adds terms one by one.
+SUM_CALLS = {"sum", "np.add.reduce", "numpy.add.reduce"}
+
+
+def _bindings(target, value):
+    """(name, value node or None) for every name an assignment binds."""
+    if isinstance(target, ast.Name):
+        yield target.id, value
+    elif isinstance(target, (ast.Tuple, ast.List)):
+        values = value.elts if isinstance(value, (ast.Tuple, ast.List)) else None
+        for t, v in zip(target.elts, values or [None] * len(target.elts)):
+            yield from _bindings(t, v)
+
+
+def _other_reductions(tree):
+    """(top-level definition, what) for every sum-family call (builtin sum,
+    np.sum, .sum(), np.add.reduce) and every += onto a name that was first
+    bound to a float or complex literal."""
+    for top in tree.body:
+        where = getattr(top, "name", "<module>")
+        first = {}
+        nodes = [n for n in ast.walk(top)
+                 if isinstance(n, (ast.Assign, ast.AugAssign, ast.For, ast.Call))]
+        for node in sorted(nodes, key=lambda n: (n.lineno, n.col_offset)):
+            if isinstance(node, ast.Call):
+                name = ast.unparse(node.func)
+                if name in SUM_CALLS or getattr(node.func, "attr", None) == "sum":
+                    yield where, name
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    for name, value in _bindings(target, node.value):
+                        first.setdefault(name, value)
+            elif isinstance(node, ast.For):
+                for name, _ in _bindings(node.target, None):
+                    first.setdefault(name, None)
+            elif isinstance(node.op, ast.Add) and isinstance(node.target, ast.Name):
+                value = first.get(node.target.id)
+                if isinstance(value, ast.Constant) and isinstance(value.value, (float, complex)):
+                    yield where, f"{node.target.id} +="
+
+
+def test_expsums_reduces_every_sum_by_fsum():
+    tree = ast.parse((PACKAGE / "expsums.py").read_text(encoding="utf-8"))
+    assert sorted(set(_other_reductions(tree))) == []
+
+
+def test_reduction_check_sees_sum_calls_and_literal_accumulators():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "def pairwise(x):\n    return x.sum() + np.sum(x) + sum(x.tolist())\n"
+        "def reduce(x):\n    return np.add.reduce(x)\n"
+        "def loop(rows, xs):\n"
+        "    roots, total = rows, 0j\n"
+        "    est = count = 0.0\n"
+        "    for r in rows:\n        total += r\n        est += 1e-15\n        count += 1\n"
+        "    idx = np.zeros(3)\n    idx += xs\n    n = 0\n    n += 1\n"
+        "    for acc in rows:\n        acc += 1.0\n"
+        "    return fsum_rows(np.array([rows]))[0], np.cumsum(xs)\n"
+        "def rebound():\n    total = 1\n    total = 0.0\n    total += 2.0\n")
+    assert sorted(set(_other_reductions(tree))) == [
+        ("loop", "count +="), ("loop", "est +="), ("loop", "total +="),
+        ("pairwise", "np.sum"), ("pairwise", "sum"), ("pairwise", "x.sum"),
+        ("reduce", "np.add.reduce")]

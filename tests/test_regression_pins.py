@@ -19,6 +19,14 @@ pins were re-recorded; only max_deviation and worst_witness moved, to the
 case-by-case values (smoke (31, 2, 2) -> (31, 28, 29), default
 (173, 48, 66) -> (173, 124, 107)), so the default pin no longer equals
 perfbench/meta.json's entry for dsum-cancel.
+
+A second one: `c1`, `c2` and `c4` (smoke and default), when every
+reported sum in expsums became one correctly rounded fsum of its
+summands.  The a-sums of c1 and c2 used to add their terms with +=, and
+c4's Kloosterman rows used numpy's pairwise np.sum per entry (they now
+have kloosterman's bits).  Only max_deviation moved, in its last bits;
+every witness stayed.  These pins no longer equal perfbench/meta.json's
+entries either.
 """
 
 import hashlib
@@ -31,17 +39,17 @@ import sys
 import numpy as np
 import pytest
 
-from deltasum.cli import main
+from deltasum.cli import SUMS, main
 from deltasum.expsums import units_and_inverses
 from deltasum.oscillatory import IntegralParams, WindowFunction, integral_value_and_error
 from deltasum.suites import SUITES
 
 SMOKE_REPORT_SHA256 = {
     "bessel-decay": "ab719448a9218a9eb1039dbd3f20157e97f89b67d64a735bca2cddfe78609ac1",
-    "c1": "0b99e6f92ba4be88f17ae63d6f94b5bfc9960eb8848eb23dd1b9ffda9f3afdfa",
-    "c2": "0d649cf57803c0124c70d5eb503fea27ce51ad6c02bbd52539e1ec2523fc6253",
+    "c1": "e6e8436e226683cc6c1018ab54844a2d449dda6c37d4857fbe7923937c4e8a74",
+    "c2": "dbe973bd9af7da858e9205a1584021450e358a10210a107bc728208561dd5ec1",
     "c3": "277eb359b5b7de03e71173ee2ef7506f3f8688b1eb7cd0cd1abcb492e2a67e52",
-    "c4": "f3b602f0b43e9fbd083f5c178ad089717798e272b55894c68eb44c8157beb82c",
+    "c4": "395fe42d5cda1b66c2a18700311041d3b43a06b1dd49a6fa8c0c0051e44cb55f",
     "dsum-cancel": "001865dcbf14f3cc248a26145a2380344b01419a3b9a78c10073308c9eb941d4",
     "exponent": "efe510abe394d6b569d7f6ce1c42d29e3295892aaeb3c35f3960616a13b60017",
     "psi-average": "7151376cec47218f4c14afe75002d84d5a0aa7037cfdb7dbccd19f99c3b2d913",
@@ -54,10 +62,10 @@ SMOKE_REPORT_SHA256 = {
 # `verify <suite> --json --grid-preset default`, the contractual grids
 DEFAULT_REPORT_SHA256 = {
     "bessel-decay": "a69d33d845226e7c8c8e9229ecea32150c3b17dd059120c420b474b845d2811b",
-    "c1": "43f2bbb0446329c1b3425bad6cb439afe36114a75cd0f6e4027abfe2c146afa3",
-    "c2": "a36f24660cc47b435499c6e614f866e67817b545c4830726f1d4359da3f1b544",
+    "c1": "e65f92d7782187e8749bfe5be675d8313f48a3c5aa23a4152c6e969a50d6307a",
+    "c2": "45f069aecc0ee2f6e73dc4a92fe150cfa3c613378d615ae89dff3dc3d3221565",
     "c3": "ba232c9739679f75cbd1ab43c7b793766a1b7f70f43ed8d333b21a56f8db1cf9",
-    "c4": "377d72ecbce2d7a75a21206c143708bdea697d8082703f6e4da80b93f9834fa5",
+    "c4": "d7691bd5c863b8b4b1e27169b29984b23340bc7ed70a9004dc2054435c756a47",
     "dsum-cancel": "ba19979c2b41d4766893a3686650fa9222f04ab0f40a12fb99fcf72660b00ab9",
     "exponent": "efe510abe394d6b569d7f6ce1c42d29e3295892aaeb3c35f3960616a13b60017",
     "psi-average": "3cce5d3bdfe8b2600b040b63c957dac0dd4971a173867ecce5b70ffd12cd1e45",
@@ -137,29 +145,47 @@ def test_integral_bits_independent_of_batch_size(c, monkeypatch):
 
 
 # numpy picks its SIMD kernels at run time; NPY_ENABLE_CPU_FEATURES limits a
-# process to the listed level.  The window integral takes its transcendentals
-# from libm and its other array operations are correctly rounded at every
-# level, so its pins must not move with the CPU.
-OSCILLATORY_PINS = ["test_integral_bits_pinned",
-                    "test_smoke_report_bytes_pinned[bessel-decay]",
-                    "test_default_report_bytes_pinned[bessel-decay]"]
+# process to the listed level.  Every reported sum is an fsum, the window
+# integral takes its transcendentals from libm, and numpy's other real
+# array operations are correctly rounded at every level, so these pins must
+# not move with the CPU: every report pin, the integral bits and the `sum`
+# stdouts, in a subprocess at each level.
+#
+# CPU_DEPENDENT_PINS are left out.  Their cause is ROADMAP item 1: a numpy
+# complex array product reaches each of them (gauss_sum and d_sum for c2
+# and `sum gauss`, c4_correlation's row1 * row2 * root for c4), and numpy
+# fuses its multiply-add at some levels and not at others.  The fix, also
+# item 1, builds those products from separate real ufunc calls, which no
+# level fuses; this list is then empty.
+CPU_DEPENDENT_PINS = ["test_regression_pins.py::test_smoke_report_bytes_pinned[c4]",
+                      "test_regression_pins.py::test_default_report_bytes_pinned[c2]",
+                      "test_regression_pins.py::test_default_report_bytes_pinned[c4]",
+                      "test_cli.py::test_sum_stdout_pinned[gauss]",
+                      "test_cli.py::test_sum_stdout_pinned[c4]"]
+PINS_AT_CPU_LEVEL = ["test_regression_pins.py::test_integral_bits_pinned",
+                     "test_regression_pins.py::test_smoke_report_bytes_pinned",
+                     "test_regression_pins.py::test_default_report_bytes_pinned",
+                     "test_cli.py::test_sum_stdout_pinned"]
 
 
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
                     reason="the CPU feature levels are x86-64 ones")
 @pytest.mark.parametrize("level", ["SSE42", "X86_V3"])
 def test_integral_pins_hold_at_cpu_level(level):
-    here = pathlib.Path(__file__).resolve()
-    src = str(here.parent.parent / "src")
+    tests = pathlib.Path(__file__).resolve().parent
+    src = str(tests.parent / "src")
     env = dict(os.environ, NPY_ENABLE_CPU_FEATURES=level,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = subprocess.run([sys.executable, "-c", "import numpy"], env=env,
                            capture_output=True, text=True, timeout=60)
     if probe.returncode:
         pytest.skip(f"numpy does not run at {level} on this host: {probe.stderr[-200:]}")
-    ids = [f"{here}::{name}" for name in OSCILLATORY_PINS]
+    deselect = [arg for pin in CPU_DEPENDENT_PINS for arg in ("--deselect", f"tests/{pin}")]
     done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                           "-o", "addopts=", *ids], env=env, cwd=here.parent.parent,
-                          capture_output=True, text=True, timeout=600)
+                           "-o", "addopts=", *deselect,
+                           *[f"tests/{pin}" for pin in PINS_AT_CPU_LEVEL]],
+                          env=env, cwd=tests.parent, capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-2000:]
-    assert f"{len(INTEGRAL_BITS) + 2} passed" in done.stdout
+    kept = (len(INTEGRAL_BITS) + len(SMOKE_REPORT_SHA256) + len(DEFAULT_REPORT_SHA256)
+            + len(SUMS) - len(CPU_DEPENDENT_PINS))
+    assert f"{kept} passed, {len(CPU_DEPENDENT_PINS)} deselected" in done.stdout
