@@ -80,9 +80,9 @@ from .numcore import (
     RationalAngle,
     check_modulus,
     check_odd_prime,
+    check_prime,
     euler_phi,
     factorize,
-    is_prime,
     mod_inv,
     reduce_mod,
     table_memo,
@@ -388,22 +388,24 @@ def d_sum(u, M, chi):
 
 
 def dsum_screen(M):
-    """(rows, gap): rows[a - 1, u] approximates |D(u; M)| at the character
-    of index a, 0 < a < M - 1, and every u mod M, only to nominate cases;
-    gap bounds its distance from |d_sum|.  A row is |M ifft(f)|, with
+    """(rows, est, gap): rows[a - 1, u] approximates |D(u; M)| at the
+    character of index a, 0 < a < M - 1, and every u mod M, only to
+    nominate cases; est is d_sum's est_error at M, and gap bounds the
+    distance of rows from |d_sum|.  A row is |M ifft(f)|, with
     f[t] = conj(chi)(b - 1) at t = b^-1 - 1.  As b - 1 = -t/(t + 1), f[t] is
     conj(e)(a (dlog(-1) + dlog t - dlog(t + 1)) / (M - 1)): one gather of
     M - 2 roots per row, each within UNIT_EPS, so M ifft(f) is within
     (TRANSFORM_EPS log2 M + UNIT_EPS) M of D (module docstring), and d_sum
-    within its est_error 2 UNIT_EPS (M - 2)."""
+    within est = 2 UNIT_EPS (M - 2)."""
     check_odd_prime(M)
     dlog = discrete_log_table(M)
     ts = np.arange(1, M - 1)  # the columns t, and the indices a of the rows
     f = np.zeros((M - 2, M), dtype=np.complex128)
     k = reduce_mod(dlog[-1] + dlog[ts] - dlog[ts + 1], M - 1)  # dlog(b - 1)
     f[:, 1:-1] = np.conj(unit_roots(M - 1))[reduce_mod(np.multiply.outer(ts, k), M - 1)]
-    gap = (TRANSFORM_EPS * log2(M) + UNIT_EPS) * M + 2 * UNIT_EPS * (M - 2)
-    return np.abs(np.fft.ifft(f, axis=1) * M), gap
+    est = 2 * UNIT_EPS * (M - 2)
+    gap = (TRANSFORM_EPS * log2(M) + UNIT_EPS) * M + est
+    return np.abs(np.fft.ifft(f, axis=1) * M), est, gap
 
 
 def _a_sum(q, bar, t, chiv=None):
@@ -522,12 +524,11 @@ def psi_average_closed(r, m, c, p, M):
     return psi_average_sums_closed(((r, m),), c, p, M)[0]
 
 
-def _c3_context(v, M, chi):
+def _c3_unit(v, M, chi):
     _require_nonprincipal(chi, M)
     if v % M == 0:
         raise NotUnit(f"v = {v} is not a unit mod {M}")
-    _, inv = units_and_inverses(M)
-    return v % M, np.asarray(inv), chi.value_array()
+    return v % M
 
 
 def c3_raw(v, M, chi):
@@ -537,7 +538,9 @@ def c3_raw(v, M, chi):
     conj(chi)(b-1) chi(b'-1); enumerated directly over b, each term a
     product of scalars, and the terms reduced by fsum_rows.
     """
-    v, inv, chiv = _c3_context(v, M, chi)
+    v = _c3_unit(v, M, chi)
+    _, inv = units_and_inverses(M)
+    chiv = chi.value_array()
     terms = []
     for b in range(2, M):
         ib = int(inv[b - 1])
@@ -545,8 +548,6 @@ def c3_raw(v, M, chi):
         if w == 0:
             continue
         bp = int(inv[w - 1])
-        if bp <= 1:
-            continue
         terms.append(chiv[b - 1].conjugate() * chiv[bp - 1])
     total = fsum_rows(np.array([terms], dtype=np.complex128))[0]
     count = M * (M - 2)
@@ -554,15 +555,16 @@ def c3_raw(v, M, chi):
 
 
 def c3_closed(v, M, chi):
-    """Closed form M * sum over b mod M, b != 0,1 of conj(chi)(1 + b(v^-1 - 1)),
-    reduced by fsum_rows."""
-    v, inv, chiv = _c3_context(v, M, chi)
-    vbar = int(inv[v - 1])
-    bs = np.arange(2, M, dtype=np.int64)
-    idx = (1 + bs * (vbar - 1)) % M
-    total = fsum_rows(np.conj(chiv)[idx][None])[0]  # chi(0) = 0 drops the two excluded shifts
+    """The exact value M * sum over b mod M, b != 0,1 of conj(chi)(1 + b(v^-1 - 1)):
+    M(M - 2) at v = 1, else -M(1 + chi(v)), as b -> 1 + b(v^-1 - 1) then
+    permutes Z/M, the sum over every b is 0, and b = 0, 1 leave
+    -(1 + conj(chi)(v^-1)).  chi(v) is one RationalAngle root; terms is
+    the raw route's M(M - 2)."""
+    v = _c3_unit(v, M, chi)
     terms = M * (M - 2)
-    return ExpSumValue(M * total, terms, 2 * UNIT_EPS * terms)
+    if v == 1:
+        return ExpSumValue(terms, terms, 0.0)
+    return ExpSumValue(-M * (1 + chi.eval(v)), terms, 2 * UNIT_EPS * M)
 
 
 def c4_correlation(c2, q2_tilde, p, p_prime, q1, m_dprime, M, h, n,
@@ -575,8 +577,8 @@ def c4_correlation(c2, q2_tilde, p, p_prime, q1, m_dprime, M, h, n,
       * e(a n / (r' ell ell'))
     with every inverse taken modulo the Kloosterman modulus it sits in.
     """
-    if not (is_prime(ell) and is_prime(ell_prime)):
-        raise ParameterInconsistency("ell and ell' must be prime")
+    check_prime(ell)
+    check_prime(ell_prime)
     mod1 = r_prime * ell
     mod2 = r_prime * ell_prime
     big = r_prime * ell * ell_prime
@@ -614,10 +616,10 @@ def _voronoi_setup(ns, rows, m, m_prime, c, d):
     cc = c // d
     c1 = gcd(m_prime, cc)
     for ell, M in dict.fromkeys((ell, M) for _, ell, M in rows):
-        if not is_prime(ell):
-            raise ParameterInconsistency(f"ell = {ell} is not prime")
-        if M % 2 == 0 or not is_prime(M) or gcd(M, c) != 1:
-            raise ParameterInconsistency("M must be an odd prime coprime to c")
+        check_prime(ell)
+        check_odd_prime(M)
+        if gcd(M, c) != 1:
+            raise ParameterInconsistency(f"M = {M} is not prime to c = {c}")
         if c1 % ell == 0:
             raise ParameterInconsistency("the generic case requires ell not dividing c1")
     return cc, c1
@@ -703,9 +705,9 @@ def voronoi_char_sums_closed(ns, rows, m, m_prime, c, d):
     """
     cc, c1 = _voronoi_setup(ns, rows, m, m_prime, c, d)
     c2 = cc // c1
+    # m'' = m'/c1 divides m*d: at each prime, with a = v(m'), b = v(c/d) and
+    # e = v(m*d), m' | m*c gives a <= e + b, so v(m'') = max(0, a - b) <= e
     m_dp = m_prime // c1
-    if (m * d) % m_dp != 0:
-        raise ParameterInconsistency("m'' does not divide m*d")
     q = m * d // m_dp
     q2 = _c2_part(q, c2)
     q1 = q // q2
@@ -741,13 +743,13 @@ def twisted_split_check(n, p, M, r, ell, c, psi):
     Returns (lhs, rhs1, rhs2) where
 
       lhs  = S_psi(n p^2 M, r ell; c p M),
-      rhs1 = -S_psi(n p^2, r ell M^-1; c p)        (None when M | c),
+      rhs1 = -S_psi(n p^2, r ell M^-1; c p)        (0 when M | c),
       rhs2 = -psi(r ell) conj(psi)(c M) g_{conj(psi)} S(n, r ell M^-1; c)
-                                                    (None when p | c or p | r ell).
+                                                    (None when M | c, p | c or p | r ell).
 
-    When M | c the sum vanishes, so only lhs is returned.  The minus sign
-    carries through both reductions: the mod-M factor of lhs is the
-    Ramanujan sum c_M(unit) = -1, and the remaining factor of rhs1
+    When M | c the sum vanishes, and rhs1 is that exact closed form.  The
+    minus sign carries through both reductions: the mod-M factor of lhs is
+    the Ramanujan sum c_M(unit) = -1, and the remaining factor of rhs1
     evaluates exactly to psi(r ell) conj(psi)(c M) g_{conj(psi)} S(...).
     """
     check_odd_prime(M)
@@ -757,7 +759,7 @@ def twisted_split_check(n, p, M, r, ell, c, psi):
         raise ModulusMismatch("psi must be a character mod p")
     lhs = twisted_kloosterman(psi, n * p * p * M, r * ell, c * p * M)
     if c % M == 0:
-        return lhs, None, None
+        return lhs, ExpSumValue(0j, 0, 0.0), None
     mbar_cp = mod_inv(M, c * p)
     s1 = twisted_kloosterman(psi, n * p * p, r * ell * mbar_cp, c * p)
     rhs1 = ExpSumValue(-s1.value, s1.terms, s1.est_error)

@@ -192,6 +192,12 @@ def is_prime(n):
     return True
 
 
+def check_prime(q):
+    """Raise NotPrime unless q is a prime."""
+    if not is_prime(q):
+        raise NotPrime(f"{q} is not a prime")
+
+
 def check_odd_prime(q):
     """Raise NotPrime unless q is an odd prime (parity is tested first)."""
     if q % 2 == 0 or not is_prime(q):

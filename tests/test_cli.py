@@ -147,6 +147,15 @@ def test_c4_kloosterman_rows_above_the_budget_exit_3(capsys):
     assert run(capsys, "sum", *C4_ARGS, "--budget", "252", "--no-cache")[0] == 0
 
 
+@pytest.mark.parametrize("flag, value", [("--ell", "4"), ("--ell-prime", "9")])
+def test_c4_with_a_composite_ell_exits_2(capsys, flag, value):
+    argv = list(C4_ARGS)
+    argv[argv.index(flag) + 1] = value
+    code, out, err = run(capsys, "sum", *argv, "--no-cache")
+    assert code == 2
+    assert out == "" and f"{value} is not a prime" in err
+
+
 @pytest.mark.parametrize("argv", [("gauss", "--modulus", "7", "--chi-index", "1"),
                                   ("ramanujan", "--q", "6", "--n", "1"),
                                   ("dsum", "--u", "0", "--modulus", "7", "--chi-index", "3"),
@@ -198,11 +207,10 @@ SUM_STDOUT = {
         '"est_error": 3.6000000000000004e-14}\n',
         "-1.403729412986023,1.6199901007675586,9,3.6000000000000004e-14\n"),
     "c3": (
-        "value = -7.600813061875581 + -10.46162167924669i  (terms=99, "
-        "est_error=3.9600000000000003e-13)\n",
-        '{"re": -7.600813061875581, "im": -10.46162167924669, "terms": 99, '
-        '"est_error": 3.9600000000000003e-13}\n',
-        "-7.600813061875581,-10.46162167924669,99,3.9600000000000003e-13\n"),
+        "value = -7.600813061875579 + -10.46162167924669i  (terms=99, est_error=4.4e-14)\n",
+        '{"re": -7.600813061875579, "im": -10.46162167924669, "terms": 99, '
+        '"est_error": 4.4e-14}\n',
+        "-7.600813061875579,-10.46162167924669,99,4.4e-14\n"),
     "c4": (
         "value = -65.46642919516698 + 82.09230565914315i  (terms=10080, est_error=8.064e-11)\n",
         '{"re": -65.46642919516698, "im": 82.09230565914315, "terms": 10080, '
@@ -434,7 +442,7 @@ def test_verify_json_deterministic(capsys):
 # quotes doubled (bessel-decay's witness holds a string).
 VERIFY_CSV_STDOUT = {
     ("exponent",): '"exponent","6","0.0","null","true"\n',
-    ("c3", "--grid-preset", "smoke"): '"c3","42","0.6666666666666666","[5, 2, 4]","true"\n',
+    ("c3", "--grid-preset", "smoke"): '"c3","42","9.985948354774705e-10","[7, 1, 3]","true"\n',
     ("bessel-decay", "--grid-preset", "smoke"):
         '"bessel-decay","122","7.040008587492279e-06","[""trivial-bound"", 0.5]","true"\n',
 }

@@ -47,7 +47,13 @@ from deltasum.expsums import (
     voronoi_char_sums_closed,
     voronoi_char_sums_raw,
 )
-from deltasum.numcore import RationalAngle, arithmetic_functions, divisor_count, mod_inv
+from deltasum.numcore import (
+    RationalAngle,
+    arithmetic_functions,
+    divisor_count,
+    mod_inv,
+    primes_between,
+)
 from deltasum.scan import Lcg
 from deltasum.suites import run_suite
 
@@ -300,6 +306,8 @@ ODD_PRIME_ENTRY_POINTS = {
     "twisted_split_check": lambda q: twisted_split_check(
         1, 3, q, 1, 1, 1, DirichletCharacter.from_index(3, 1)),
     "characters": lambda q: DirichletCharacter.from_index(q, 1),
+    "voronoi raw (M)": lambda q: voronoi_char_sum_raw(1, 1, 1, 1, 1, 1, 3, q),
+    "voronoi closed (M)": lambda q: voronoi_char_sum_closed(1, 1, 1, 1, 1, 1, 3, q),
 }
 
 
@@ -308,6 +316,22 @@ ODD_PRIME_ENTRY_POINTS = {
 def test_every_entry_point_needs_an_odd_prime(entry, q):
     with pytest.raises(NotPrime, match=f"^{q} is not an odd prime$"):
         ODD_PRIME_ENTRY_POINTS[entry](q)
+
+
+# Every entry point that needs a prime, 2 included (ell and ell').
+PRIME_ENTRY_POINTS = {
+    "voronoi raw (ell)": lambda q: voronoi_char_sum_raw(1, 1, 1, 1, 1, 1, q, 13),
+    "voronoi closed (ell)": lambda q: voronoi_char_sum_closed(1, 1, 1, 1, 1, 1, q, 13),
+    "c4 (ell)": lambda q: c4_correlation(1, 1, 11, 13, 1, 1, 101, 1, 3, 3, q, 7),
+    "c4 (ell')": lambda q: c4_correlation(1, 1, 11, 13, 1, 1, 101, 1, 3, 3, 5, q),
+}
+
+
+@pytest.mark.parametrize("q", [1, 4, 9])
+@pytest.mark.parametrize("entry", PRIME_ENTRY_POINTS)
+def test_every_entry_point_needs_a_prime(entry, q):
+    with pytest.raises(NotPrime, match=f"^{q} is not a prime$"):
+        PRIME_ENTRY_POINTS[entry](q)
 
 
 def test_dsum_cancellation_small():
@@ -532,13 +556,26 @@ def test_c3_definition_route():
             assert abs(definition - c3_raw(v, M, chi).value) < 1e-8
 
 
+def _c3_gather_reference(v, M, chi):
+    """c3_closed as it was before its exact form: M * sum over b mod M,
+    b != 0,1 of conj(chi)(1 + b(v^-1 - 1)), one gather reduced by fsum."""
+    bs = np.arange(2, M, dtype=np.int64)
+    idx = (1 + bs * (_inv(v, M) - 1)) % M
+    total = fsum_rows(np.conj(chi.value_array())[idx][None])[0]  # chi(0) = 0
+    terms = M * (M - 2)
+    return ExpSumValue(M * total, terms, 2 * UNIT_EPS * terms)
+
+
 def test_c3_fully_closed_form():
-    # off the diagonal the value collapses to -M(1 + conj(chi)(vbar))
-    for M in (5, 11):
+    # M(M - 2) exactly at v = 1, -M(1 + chi(v)) off it, against the gather
+    for M in primes_between(2, 32)[1:]:  # the odd primes up to 31
         for chi in enumerate_characters(M)[1:]:
-            for v in range(2, M):
-                want = -M * (1 + chi.eval(_inv(v, M)).conjugate())
-                assert abs(c3_closed(v, M, chi).value - want) < 1e-9
+            diagonal = c3_closed(1, M, chi)
+            assert (diagonal.value, diagonal.est_error) == (M * (M - 2), 0.0)
+            for v in range(1, M):
+                exact, gather = c3_closed(v, M, chi), _c3_gather_reference(v, M, chi)
+                assert exact.terms == gather.terms
+                assert abs(exact.value - gather.value) <= exact.est_error + gather.est_error
 
 
 def test_c3_rejects_bad_input():
@@ -755,24 +792,38 @@ def test_voronoi_block_entries_equal_one_entry_calls(group):
 
 
 @pytest.mark.parametrize("bad_row", [
-    (0, 3, 13),   # r < 1
-    (1, 4, 13),   # ell not prime
-    (1, 3, 15),   # M not prime
-    (1, 3, 2),    # M even
-    (1, 3, 3),    # gcd(M, c) > 1
-    (1, 2, 13),   # ell | c1
+    ((0, 3, 13), ParameterInconsistency),   # r < 1
+    ((1, 4, 13), NotPrime),                 # ell not prime
+    ((1, 3, 15), NotPrime),                 # M not prime
+    ((1, 3, 2), NotPrime),                  # M even
+    ((1, 3, 3), ParameterInconsistency),    # gcd(M, c) > 1
+    ((1, 2, 13), ParameterInconsistency),   # ell | c1
 ])
 def test_voronoi_block_rejects_an_inadmissible_row(bad_row):
+    (r, ell, M), error = bad_row
     group = (1, 2, 12, 2)  # c/d = 6, c1 = 2
-    rows = [(1, 5, 13), (2, 7, 29), bad_row, (3, 5, 13)]
-    r, ell, M = bad_row
+    rows = [(1, 5, 13), (2, 7, 29), (r, ell, M), (3, 5, 13)]
     for kernel, scalar in ((voronoi_char_sums_raw, voronoi_char_sum_raw),
                            (voronoi_char_sums_closed, voronoi_char_sum_closed)):
-        with pytest.raises(ParameterInconsistency) as from_scalar:
+        with pytest.raises(error) as from_scalar:
             scalar(1, *group, r, ell, M)
-        with pytest.raises(ParameterInconsistency) as from_block:
+        with pytest.raises(error) as from_block:
             kernel((1, 2), rows, *group)
         assert str(from_block.value) == str(from_scalar.value)
+
+
+def test_m_double_prime_always_divides_m_d():
+    # voronoi_char_sums_closed takes q = m*d/m'' without a check: every
+    # admissible (m, m', c, d) has m'' = m'/gcd(m', c/d) dividing m*d
+    cases = 0
+    for m in range(1, 7):
+        for c in range(1, 31):
+            for d in (x for x in range(1, c + 1) if c % x == 0):
+                for m_prime in (x for x in range(1, m * c + 1) if m * c % x == 0):
+                    m_dp = m_prime // math.gcd(m_prime, c // d)
+                    assert m * d % m_dp == 0, (m, m_prime, c, d)
+                    cases += 1
+    assert cases == 5420  # the whole box was walked
 
 
 # ------------------------------------------------------------ twisted split
@@ -791,7 +842,7 @@ def test_twisted_split_example():
 def test_twisted_split_vanishes_when_M_divides_c():
     for psi in enumerate_characters(3):
         lhs, rhs1, rhs2 = twisted_split_check(1, 3, 5, 1, 2, 5, psi)
-        assert rhs1 is None and rhs2 is None
+        assert (rhs1.value, rhs1.terms, rhs1.est_error, rhs2) == (0j, 0, 0.0, None)
         assert abs(lhs.value) <= identity_tolerance(lhs.terms, abs(lhs.value), 0.0)
 
 

@@ -245,3 +245,38 @@ def test_reduction_check_sees_sum_calls_and_literal_accumulators():
         ("loop", "count +="), ("loop", "est +="), ("loop", "total +="),
         ("pairwise", "np.sum"), ("pairwise", "sum"), ("pairwise", "x.sum"),
         ("reduce", "np.add.reduce")]
+
+
+# One pass rule: every normalized suite passes at _Sweep.report's ceiling
+# 1.0 (a raw route against a closed form, or a value against its theorem's
+# bound plus est_error), and the exact suites at 0.0; no suite keeps a
+# ceiling of its own.
+def _report_ceilings(tree):
+    """(top-level definition, ceiling) for every .report( call that gives a
+    ceiling, positionally or by keyword, other than the literal 0.0."""
+    for top in tree.body:
+        where = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "report":
+                given = node.args[2:3] + [kw.value for kw in node.keywords if kw.arg == "ceiling"]
+                for value in given:
+                    if not (isinstance(value, ast.Constant) and isinstance(value.value, float)
+                            and value.value == 0.0):
+                        yield where, ast.unparse(value)
+
+
+def test_suites_pass_at_one_ceiling():
+    tree = ast.parse((PACKAGE / "suites.py").read_text(encoding="utf-8"))
+    assert list(_report_ceilings(tree)) == []
+
+
+def test_ceiling_check_sees_keyword_and_positional_ceilings():
+    tree = ast.parse(
+        "def suite_a(sweep):\n    return sweep.report('a', {})\n"
+        "def suite_b(sweep):\n    return sweep.report('b', {}, ceiling=0.0)\n"
+        "def suite_c(sweep):\n    return sweep.report('c', {'M_max': 1}, ceiling=CEILING)\n"
+        "def suite_d(sweep):\n    return sweep.report('d', {}, 4.0)\n"
+        "def suite_e():\n    return _Sweep().report('e', {}, notes={}, ceiling=1.5)\n"
+        "def suite_f(sweep):\n    return sweep.report('f', {}, ceiling=False)\n")
+    assert list(_report_ceilings(tree)) == [
+        ("suite_c", "CEILING"), ("suite_d", "4.0"), ("suite_e", "1.5"), ("suite_f", "False")]

@@ -181,6 +181,7 @@ def test_reciprocity_holds_for_coprime_moduli(a, b, n):
 def test_dsum_rows_match_d_sum(M, data):
     chi_index = data.draw(st.integers(min_value=1, max_value=M - 2))
     u = data.draw(st.integers(min_value=0, max_value=M - 1))
-    rows, gap = dsum_screen(M)
+    rows, est, gap = dsum_screen(M)
     want = d_sum(u, M, DirichletCharacter.from_index(M, chi_index))
+    assert est == want.est_error
     assert abs(rows[chi_index - 1, u] - abs(want.value)) <= gap

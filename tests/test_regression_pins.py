@@ -27,6 +27,18 @@ c4's Kloosterman rows used numpy's pairwise np.sum per entry (they now
 have kloosterman's bits).  Only max_deviation moved, in its last bits;
 every witness stayed.  These pins no longer equal perfbench/meta.json's
 entries either.
+
+A third one: `c3` and `dsum-cancel` (smoke and default), when every
+normalized suite came to pass at ceiling 1.  `c3` compares its raw route
+with the exact closed form, M(M - 2) at v = 1 and -M(1 + chi(v)) off it,
+in place of a composite with an empirical 3M ceiling (worst smoke
+0.6666666666666666 at (5, 2, 4) -> 9.985948354774705e-10 at (7, 1, 3),
+default 0.666666666666667 at (13, 4, 12) -> 3.500350567182128e-09 at
+(13, 11, 12)), and its report lost the observed-ceiling note.
+`dsum-cancel` divides |D| by Weil's 2 sqrt(M) + est_error, not by sqrt(M)
+under a ceiling 4 (smoke 1.9958403126749917 -> 0.9979201563374855,
+default 1.99975643639674 -> 0.9998782181983439, witnesses unchanged), and
+its grid lost the "ceiling" key.  `twisted-split` did not move.
 """
 
 import hashlib
@@ -48,9 +60,9 @@ SMOKE_REPORT_SHA256 = {
     "bessel-decay": "ab719448a9218a9eb1039dbd3f20157e97f89b67d64a735bca2cddfe78609ac1",
     "c1": "e6e8436e226683cc6c1018ab54844a2d449dda6c37d4857fbe7923937c4e8a74",
     "c2": "dbe973bd9af7da858e9205a1584021450e358a10210a107bc728208561dd5ec1",
-    "c3": "277eb359b5b7de03e71173ee2ef7506f3f8688b1eb7cd0cd1abcb492e2a67e52",
+    "c3": "c20a797b62f62ed90d7b199933ebb776ab59a6538e664b3ae83e4987f4fbe287",
     "c4": "395fe42d5cda1b66c2a18700311041d3b43a06b1dd49a6fa8c0c0051e44cb55f",
-    "dsum-cancel": "001865dcbf14f3cc248a26145a2380344b01419a3b9a78c10073308c9eb941d4",
+    "dsum-cancel": "bdcd8471dc988735ea3e7766464ba702c1694a50b8ca14f682d2ee99598085c3",
     "exponent": "efe510abe394d6b569d7f6ce1c42d29e3295892aaeb3c35f3960616a13b60017",
     "psi-average": "7151376cec47218f4c14afe75002d84d5a0aa7037cfdb7dbccd19f99c3b2d913",
     "reciprocity": "eae54e6dd95f7ea6e43010eac45844ca0b9285b8ba3e6430310cc59fb58cc3c7",
@@ -64,9 +76,9 @@ DEFAULT_REPORT_SHA256 = {
     "bessel-decay": "a69d33d845226e7c8c8e9229ecea32150c3b17dd059120c420b474b845d2811b",
     "c1": "e65f92d7782187e8749bfe5be675d8313f48a3c5aa23a4152c6e969a50d6307a",
     "c2": "45f069aecc0ee2f6e73dc4a92fe150cfa3c613378d615ae89dff3dc3d3221565",
-    "c3": "ba232c9739679f75cbd1ab43c7b793766a1b7f70f43ed8d333b21a56f8db1cf9",
+    "c3": "5c82cfd59eaaa818cad3621712a23aa9f25d1b8367c1b930526b7a8133cd58a8",
     "c4": "d7691bd5c863b8b4b1e27169b29984b23340bc7ed70a9004dc2054435c756a47",
-    "dsum-cancel": "ba19979c2b41d4766893a3686650fa9222f04ab0f40a12fb99fcf72660b00ab9",
+    "dsum-cancel": "c35ade0485861330aa959a21dcb20d8f5d0c8c21c37e1c5f8b2c481f8dc80750",
     "exponent": "efe510abe394d6b569d7f6ce1c42d29e3295892aaeb3c35f3960616a13b60017",
     "psi-average": "3cce5d3bdfe8b2600b040b63c957dac0dd4971a173867ecce5b70ffd12cd1e45",
     "reciprocity": "c67caf58f1b4dfe71d0d573baa90a702e9be3038488897e73eb513c6503696b8",

@@ -9,7 +9,12 @@ import pytest
 from deltasum import suites
 from deltasum.characters import enumerate_characters
 from deltasum.errors import BudgetExceeded, InvalidValue
-from deltasum.expsums import dsum_screen, units_and_inverses, voronoi_char_sum_closed
+from deltasum.expsums import (
+    dsum_screen,
+    identity_tolerance,
+    units_and_inverses,
+    voronoi_char_sum_closed,
+)
 from deltasum.numcore import primes_between
 from deltasum.scan import Lcg, ScanReport, append_ledger
 from deltasum.suites import (
@@ -185,10 +190,13 @@ def test_sweep_offer_matches_add_case_by_case():
     assert (by_add.cases, by_add.worst, by_add.witness) == expected
 
 
-def test_c3_suite_records_observed_ceiling():
-    report = run_suite("c3", preset="smoke")
-    observed = report.notes["observed_max_over_M_off_diagonal"]
-    assert 0 < observed <= 3.0  # the exact off-diagonal value is at most 2M
+def test_c3_identity_implies_the_3M_ceiling():
+    # Off the diagonal |closed| = M |1 + chi(v)| <= 2M, so |raw| >= 3M means
+    # |raw - closed| >= |raw| - 2M, which outgrows the tolerance as |raw|
+    # grows: such a raw value fails the identity once the tolerance at
+    # |raw| = 3M, |closed| = 2M (terms 2M(M - 2)) is below M.
+    for M in inspect.signature(suites.suite_c3).parameters["M_list"].default:
+        assert identity_tolerance(2 * M * (M - 2), 3 * M, 2 * M) < M
 
 
 def test_bessel_decay_toy():
