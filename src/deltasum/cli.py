@@ -328,12 +328,15 @@ def _cache_key(args):
 
 
 def _cache_read(key, config):
-    path = os.path.join(config.cache_dir, key + ".json")
+    """The stored entry, or None for a miss (main then recomputes and
+    overwrites it): unreadable, or not {"stdout": str, "exit_code": int}."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(os.path.join(config.cache_dir, key + ".json"), encoding="utf-8") as fh:
+            hit = json.load(fh)
     except (OSError, ValueError):
         return None
+    valid = isinstance(hit, dict) and isinstance(hit.get("stdout"), str)
+    return hit if valid and type(hit.get("exit_code")) is int else None
 
 
 def _cache_write(key, payload, config):
@@ -362,7 +365,7 @@ def main(argv=None):
             hit = _cache_read(key, config)
             if hit is not None:
                 sys.stdout.write(hit["stdout"])
-                return int(hit["exit_code"])
+                return hit["exit_code"]
         text, code = RUNNERS[args.command](args, config)
         out = text + "\n"
         if use_cache:

@@ -50,12 +50,15 @@ reduces each row; _kloosterman_sums gathers many Kloosterman rows of one
 modulus in blocks of at most 2**16 summands.  The block kernels evaluate
 one parameter group at once: voronoi_char_sums_raw/_closed one (m, m',
 c, d) for many (r, ell, M) rows and n, psi_average_sums_raw/_closed one
-(c, p, M) for many (r, m).  The scalar functions are their one-entry
-calls, so a block entry has the scalar value's bits.  Sweeps may locate
-their worst case with an approximate kernel (kloosterman_screen, one FFT
-row per prime power, or dsum_screen, one per character) that returns its
-gap from the scalar function, but it only picks candidates: every number
-that is reported still comes from the scalar function, reduced by fsum.
+(c, p, M) for many (r, m).  Every block kernel and kloosterman_screen
+return an ExpSumValues, and each scalar function is the entry of its
+one-entry call, so a block entry has the scalar value's bits (a block
+takes |z| as np.hypot, which calls libm's hypot as abs(complex) does).
+Sweeps may locate their worst case with an approximate kernel
+(kloosterman_screen, one FFT row per prime power, or dsum_screen, one per
+character) that returns its gap from the scalar function, but it only
+picks candidates: every number that is reported still comes from the
+scalar function, reduced by fsum.
 """
 
 from __future__ import annotations
@@ -121,6 +124,27 @@ class ExpSumValue:
             raise LimitExceeded(_CONTRACT)
 
 
+@dataclass(frozen=True, eq=False)  # == on arrays has no single truth value
+class ExpSumValues:
+    """A block of ExpSumValue: value is a complex array, and terms and
+    est_error broadcast against it (scalars, or one entry per row as shape
+    (rows, 1)).  The contract is checked once over the block; block[i] is
+    the ExpSumValue at index i, with the bits of the block's entries."""
+
+    value: np.ndarray
+    terms: object
+    est_error: object
+
+    def __post_init__(self):
+        if breaks_contract(np.abs(self.value), self.terms, self.est_error).any():
+            raise LimitExceeded(_CONTRACT)
+
+    def __getitem__(self, index):
+        terms, est = (np.broadcast_to(x, self.value.shape)[index]
+                      for x in (self.terms, self.est_error))
+        return ExpSumValue(self.value[index], terms, est)
+
+
 def identity_tolerance(total_terms, lhs_abs, rhs_abs, scale=1.0):
     """Allowed |LHS-RHS| for an identity over total_terms roots of unity.
 
@@ -139,13 +163,6 @@ def fsum_rows(terms):
     depend on the order of its terms."""
     return [complex(fsum(re), fsum(im))
             for re, im in zip(terms.real.tolist(), terms.imag.tolist())]
-
-
-def check_rows(values, terms, est_error):
-    """The ExpSumValue invariants over a batch of row values that is not
-    wrapped in ExpSumValue objects."""
-    if breaks_contract(np.abs(values), terms, est_error).any():
-        raise LimitExceeded(_CONTRACT)
 
 
 def _prime_power_inverses(q):
@@ -269,12 +286,12 @@ def _prime_power_screen(a, b, p, k, rows):
 
 
 def kloosterman_screen(ms, ns, cs):
-    """(sums, est, gap, divisors) for int64 arrays ms, ns, cs: sums[i] is an
-    approximate S(m_i, n_i; c_i), for sweeps that only nominate candidates
-    (no value of it is ever reported), est[i] is kloosterman's est_error
-    UNIT_EPS phi(c_i), gap[i] = SCREEN_SLACK phi(c_i) bounds |sums[i] -
-    kloosterman(m_i, n_i, c_i).value| (module docstring), and divisors[i]
-    is d(c_i); phi and d come from the one factorisation of each modulus.
+    """(sums, gap, divisors) for int64 arrays ms, ns, cs: sums is an
+    ExpSumValues, sums[i] an approximate kloosterman(m_i, n_i, c_i) for
+    sweeps that only nominate candidates (no value of it is ever reported),
+    gap[i] = SCREEN_SLACK phi(c_i) bounds |sums.value[i] - kloosterman(m_i,
+    n_i, c_i).value| (module docstring), and divisors[i] is d(c_i); phi and
+    d come from the one factorisation of each modulus.
 
     By twisted multiplicativity S(m, n; c) is the product over the prime
     powers q exactly dividing c of S(m rbar, n rbar; q), with r = c/q and
@@ -321,9 +338,7 @@ def kloosterman_screen(ms, ns, cs):
             rows, last = {}, prime
         out[case[lo:hi]] *= _prime_power_screen(a[lo:hi], b[lo:hi], prime, e, rows)
     phi, divisors = np.array(funcs, dtype=np.int64).reshape(-1, 2)[which].T
-    est = UNIT_EPS * phi
-    check_rows(out, phi, est)
-    return out, est, SCREEN_SLACK * phi, divisors
+    return ExpSumValues(out, phi, UNIT_EPS * phi), SCREEN_SLACK * phi, divisors
 
 
 def twisted_kloosterman(psi, m, n, c, budget=DEFAULT_BUDGET):
@@ -452,8 +467,8 @@ def _check_psi_average(pairs, c, p, M):
 
 
 def psi_average_sums_raw(pairs, c, p, M):
-    """psi_average_raw at every (r, m) of pairs, at one (c, p, M): a list
-    of ExpSumValue in the order of pairs.
+    """psi_average_raw at every (r, m) of pairs, at one (c, p, M): an
+    ExpSumValues with one entry per pair, in the order of pairs.
 
     The summands of every pair are one kloosterman_terms gather.  For each
     pair, one characters x units block holds the twisted summands of every
@@ -469,15 +484,14 @@ def psi_average_sums_raw(pairs, c, p, M):
     psi = character_rows(p, range(1, p - 1, 2))[:, xs % p]  # the odd ones: psi(-1) = (-1)**index
     row_est = 2 * UNIT_EPS * xs.size  # twisted_kloosterman's bound for one character
     count = (p - 1) * xs.size
-    rows = np.array([fsum_rows(psi * row) for row in summands])
-    check_rows(rows, xs.size, row_est)
-    est = (p - 1) * row_est + UNIT_EPS * count
-    return [ExpSumValue(2 * total, count, est) for total in fsum_rows(rows)]
+    rows = ExpSumValues(np.array([fsum_rows(psi * row) for row in summands]), xs.size, row_est)
+    totals = np.array([2 * total for total in fsum_rows(rows.value)])
+    return ExpSumValues(totals, count, (p - 1) * row_est + UNIT_EPS * count)
 
 
 def psi_average_sums_closed(pairs, c, p, M):
-    """psi_average_closed at every (r, m) of pairs, at one (c, p, M): a list
-    of ExpSumValue in the order of pairs.
+    """psi_average_closed at every (r, m) of pairs, at one (c, p, M): an
+    ExpSumValues with one entry per pair, in the order of pairs.
 
     The sums S(pbar r, pbar m; cM) of every pair come from
     _kloosterman_sums; each value is then the Python-complex product
@@ -490,20 +504,14 @@ def psi_average_sums_closed(pairs, c, p, M):
     pbar = mod_inv(p, cM)
     sums = _kloosterman_sums([pbar * r for r, _ in pairs], [pbar * m for _, m in pairs], cM)
     phi = euler_phi(cM)
-    s_est = UNIT_EPS * phi  # kloosterman's bound
-    check_rows(sums, phi, s_est)
-    cm_bar = mod_inv(cM, p)
+    sums = ExpSumValues(np.array(sums), phi, UNIT_EPS * phi)  # kloosterman's bound
     count = (p - 1) * euler_phi(c * p * M)
-    brackets = {}  # e(w) - e(-w), which depends on (r + m) mod p only
-    values = []
-    for (r, m), s in zip(pairs, sums):
-        k = (r + m) % p
-        if k not in brackets:
-            w = RationalAngle(cm_bar * k, p)
-            brackets[k] = w.to_complex() - (-w).to_complex()
-        est = (p - 1) * 2 * (s_est + UNIT_EPS * abs(s))
-        values.append(ExpSumValue((p - 1) * s * brackets[k], count, min(est, 1e-12 * count)))
-    return values
+    cm_bar = mod_inv(cM, p)
+    angles = [RationalAngle(cm_bar * k, p) for k in range(p)]  # w at (r + m) mod p
+    brackets = [w.to_complex() - (-w).to_complex() for w in angles]
+    values = [(p - 1) * s * brackets[(r + m) % p] for (r, m), s in zip(pairs, sums.value.tolist())]
+    est = (p - 1) * 2 * (sums.est_error + UNIT_EPS * np.hypot(sums.value.real, sums.value.imag))
+    return ExpSumValues(np.array(values), count, np.minimum(est, 1e-12 * count))
 
 
 def psi_average_raw(r, m, c, p, M):
@@ -629,11 +637,12 @@ def voronoi_char_sums_raw(ns, rows, m, m_prime, c, d):
     """The raw beta-sums of one (m, m', c, d) group, every (r, ell, M) of
     rows and every n of ns at once.
 
-    Returns (values, counts): values[i, j] is the sum at rows[i] = (r, ell,
-    M) and n = ns[j], and counts[i] the number of units beta kept for
-    rows[i].  The summands e(beta^-1 n / (m*c/m')) of every unit and every
-    n form one gather, with the units grouped by the class of beta*m' mod
-    c/d.  The congruence for (r, ell, M) keeps exactly one class, a block of
+    Returns an ExpSumValues whose value[i, j] is the sum at rows[i] = (r,
+    ell, M) and n = ns[j]; terms[i, 0] is the number of units beta kept for
+    rows[i], and est_error[i, 0] UNIT_EPS per unit (at least one).  The
+    summands e(beta^-1 n / (m*c/m')) of every unit and every n form one
+    gather, with the units grouped by the class of beta*m' mod c/d.  The
+    congruence for (r, ell, M) keeps exactly one class, a block of
     columns, whose rows are reduced with fsum once per class, whichever
     rows share it; fsum is order-free, so regrouping the units leaves every
     value bit for bit as in ascending order.
@@ -658,9 +667,8 @@ def voronoi_char_sums_raw(ns, rows, m, m_prime, c, d):
         values.append(by_class[j])
         counts.append(hi - lo)
     values = np.array(values, dtype=np.complex128).reshape(len(rows), len(ns))
-    counts = np.array(counts, dtype=np.int64)
-    check_rows(values, counts[:, None], UNIT_EPS * np.maximum(counts, 1)[:, None])
-    return values, counts
+    counts = np.array(counts, dtype=np.int64)[:, None]
+    return ExpSumValues(values, counts, UNIT_EPS * np.maximum(counts, 1))
 
 
 def voronoi_char_sum_raw(n, m, m_prime, c, d, r, ell, M):
@@ -670,9 +678,7 @@ def voronoi_char_sum_raw(n, m, m_prime, c, d, r, ell, M):
     sum over units beta mod m*c/m' subject to r*ell*M^-1 + beta*m' = 0
     mod c/d, of e(beta^-1 n / (m*c/m')).
     """
-    values, counts = voronoi_char_sums_raw((n,), ((r, ell, M),), m, m_prime, c, d)
-    k = int(counts[0])
-    return ExpSumValue(values[0, 0], k, UNIT_EPS * max(k, 1))
+    return voronoi_char_sums_raw((n,), ((r, ell, M),), m, m_prime, c, d)[0, 0]
 
 
 def _c2_part(q, c2):
@@ -687,9 +693,9 @@ def _c2_part(q, c2):
 
 
 def voronoi_char_sums_closed(ns, rows, m, m_prime, c, d):
-    """Closed forms of the beta-sums of one (m, m', c, d) group:
-    values[i, j] at rows[i] = (r, ell, M) and n = ns[j].  Every summand
-    count is m*c/m'.
+    """Closed forms of the beta-sums of one (m, m', c, d) group: an
+    ExpSumValues whose value[i, j] is the sum at rows[i] = (r, ell, M) and
+    n = ns[j], with terms m*c/m' and est_error min(UNIT_EPS |value|, 1e-12 terms).
 
     Each value is 0 off the divisibility strata, else
     q2 * c_{q1}(n) * e(-(r' ell)^-1 m'' M (n/q2) q1^-1 / c2).
@@ -726,15 +732,13 @@ def voronoi_char_sums_closed(ns, rows, m, m_prime, c, d):
                             if n in ramanujan else 0j for n in ns]
         values[i] = by_phase[g0]
     terms = m * c // m_prime
-    check_rows(values, terms, np.minimum(UNIT_EPS * np.abs(values), 1e-12 * terms))
-    return values
+    est = np.minimum(UNIT_EPS * np.hypot(values.real, values.imag), 1e-12 * terms)
+    return ExpSumValues(values, terms, est)
 
 
 def voronoi_char_sum_closed(n, m, m_prime, c, d, r, ell, M):
     """Closed form of the beta-sum: the one entry of voronoi_char_sums_closed."""
-    value = complex(voronoi_char_sums_closed((n,), ((r, ell, M),), m, m_prime, c, d)[0, 0])
-    terms = m * c // m_prime
-    return ExpSumValue(value, terms, min(UNIT_EPS * abs(value), 1e-12 * terms))
+    return voronoi_char_sums_closed((n,), ((r, ell, M),), m, m_prime, c, d)[0, 0]
 
 
 def twisted_split_check(n, p, M, r, ell, c, psi):

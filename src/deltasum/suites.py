@@ -73,12 +73,13 @@ class _Sweep:
     """Case count, worst deviation and witness of one suite run, and its clock.
 
     `add` takes cases one at a time (or a block whose worst is known);
-    `offer` takes a batch of deviations that only nominate candidates.  In
-    grid order, a batched case is re-evaluated through its scalar *_case
-    function when its batched deviation exceeds the running worst minus its
-    slack, and only that scalar value is compared and kept.  While every
-    slack bounds |batched - scalar|, a skipped case could not have raised
-    the worst, so the result is exactly that of the case-by-case sweep.
+    `offer` takes a batch of deviations that only nominate candidates, with
+    one slack per deviation or one for all.  In grid order, a batched case
+    is re-evaluated through its scalar *_case function when its batched
+    deviation exceeds the running worst minus its slack, and only that
+    scalar value is compared and kept.  While every slack bounds |batched -
+    scalar|, a skipped case could not have raised the worst, so the result
+    is exactly that of the case-by-case sweep.
     """
 
     def __init__(self):
@@ -92,6 +93,7 @@ class _Sweep:
 
     def offer(self, devs, slacks, witness_of, case_fn):
         start = self.cases
+        slacks = np.broadcast_to(slacks, devs.shape)
         # Case j's scalar deviation is at least devs[j] - slacks[j], so the
         # running worst before case i is at least floor[i] >= worst; only a
         # case with devs[i] > floor[i] - slacks[i] can raise it, and only
@@ -118,22 +120,15 @@ class _Sweep:
 
 
 def _deviation(lhs, rhs, tolerance_scale=1.0):
-    """|LHS-RHS| normalized by the identity tolerance (<= 1 passes)."""
-    tol = identity_tolerance(lhs.terms + rhs.terms, abs(lhs.value), abs(rhs.value),
+    """|LHS-RHS| normalized by the identity tolerance (<= 1 passes): a float
+    for two ExpSumValue, and for two ExpSumValues an array whose entries
+    have the bits of the scalar calls.  Block magnitudes are np.hypot of the
+    real and imaginary parts: both it and Python's abs(complex) call libm's
+    hypot, whereas np.abs may take a SIMD kernel whose last bit differs."""
+    magnitude = abs if isinstance(lhs.value, complex) else lambda z: np.hypot(z.real, z.imag)
+    tol = identity_tolerance(lhs.terms + rhs.terms, magnitude(lhs.value), magnitude(rhs.value),
                              tolerance_scale)
-    return abs(lhs.value - rhs.value) / tol
-
-
-def _batched_deviations(lhs, rhs, terms, tolerance_scale):
-    """_deviation of every entry of two complex arrays of values, bit for
-    bit.  The magnitudes are np.hypot of the real and imaginary parts: both
-    it and Python's abs(complex) call libm's hypot, whereas np.abs may take
-    a SIMD kernel whose last bit differs."""
-    def magnitude(z):
-        return np.hypot(z.real, z.imag)
-
-    tol = identity_tolerance(terms, magnitude(lhs), magnitude(rhs), tolerance_scale)
-    return magnitude(lhs - rhs) / tol
+    return magnitude(lhs.value - rhs.value) / tol
 
 
 # ---------------------------------------------------------------- psi average
@@ -160,13 +155,9 @@ def suite_psi_average(grid=None, tolerance_scale=1.0):
                 if math.gcd(p, c * M) != 1:
                     skipped += len(pairs)
                     continue
-                raw = psi_average_sums_raw(pairs, c, p, M)
-                closed = psi_average_sums_closed(pairs, c, p, M)
-                lhs = np.array([v.value for v in raw], dtype=np.complex128)
-                rhs = np.array([v.value for v in closed], dtype=np.complex128)
-                terms = np.array([a.terms + b.terms for a, b in zip(raw, closed)])
-                devs = _batched_deviations(lhs, rhs, terms, tolerance_scale)
-                sweep.offer(devs, np.zeros_like(devs),
+                devs = _deviation(psi_average_sums_raw(pairs, c, p, M),
+                                  psi_average_sums_closed(pairs, c, p, M), tolerance_scale)
+                sweep.offer(devs, 0.0,
                             lambda i, c=c, p=p, M=M: (*pairs[i], c, p, M), case)
     return sweep.report("psi-average", dict(grid, skipped=skipped))
 
@@ -357,18 +348,17 @@ def suite_voronoi_char(grid=None, tolerance_scale=1.0):
                             for M in grid["M"] if math.gcd(M, c) == 1 for r in rs]
                     if not rows:
                         continue
-                    raw, counts = voronoi_char_sums_raw(ns, rows, m, m_prime, c, d)
-                    closed = voronoi_char_sums_closed(ns, rows, m, m_prime, c, d).ravel()
-                    terms = np.repeat(counts, len(ns)) + m * c // m_prime
-                    devs = _batched_deviations(raw.ravel(), closed, terms, tolerance_scale)
-                    vanishing += int(np.count_nonzero(closed == 0))
+                    closed = voronoi_char_sums_closed(ns, rows, m, m_prime, c, d)
+                    devs = _deviation(voronoi_char_sums_raw(ns, rows, m, m_prime, c, d),
+                                      closed, tolerance_scale).ravel()
+                    vanishing += int(np.count_nonzero(closed.value == 0))
 
                     def witness_of(i, m=m, m_prime=m_prime, c=c, d=d, rows=rows):
                         row, n = divmod(i, len(ns))
                         r, ell, M = rows[row]
                         return (ns[n], m, m_prime, c, d, r, ell, M)
 
-                    sweep.offer(devs, np.zeros_like(devs), witness_of, case)
+                    sweep.offer(devs, 0.0, witness_of, case)
     return sweep.report("voronoi-char", dict(grid, vanishing_cases=vanishing))
 
 
@@ -422,10 +412,10 @@ def suite_weil(c_max=2000, pairs_per_c=20, seed=5):
     draws = (rng.next_u32_block(size) % np.uint64(10**6)).astype(np.int64) + 1  # rng.below
     ms, ns = draws[0::2], draws[1::2]
     cs = np.repeat(np.arange(1, c_max + 1, dtype=np.int64), pairs)
-    sums, est, gap, divisors = expsums.kloosterman_screen(ms, ns, cs)
+    sums, gap, divisors = expsums.kloosterman_screen(ms, ns, cs)
     # gcd(m, n, c), taking the small c first: fewer Euclid steps, same integers
-    scale = divisors * np.sqrt(np.gcd(np.gcd(ms, cs), ns) * cs) + est
-    sweep.offer(np.abs(sums) / scale, gap / scale,
+    scale = divisors * np.sqrt(np.gcd(np.gcd(ms, cs), ns) * cs) + sums.est_error
+    sweep.offer(np.abs(sums.value) / scale, gap / scale,
                 lambda i: (int(ms[i]), int(ns[i]), int(cs[i])), weil_case)
     return sweep.report("weil", {"c_max": c_max, "pairs_per_c": pairs_per_c, "seed": seed})
 
@@ -450,7 +440,7 @@ def suite_dsum_cancel(M_max=300):
         rows, est, gap = expsums.dsum_screen(M)
         bound = 2 * math.sqrt(M) + est
         devs = (rows[:, 1:] / bound).ravel()  # drop u = 0
-        sweep.offer(devs, np.full(devs.size, gap / bound),
+        sweep.offer(devs, gap / bound,
                     lambda i, M=M: (M, i // (M - 1) + 1, i % (M - 1) + 1), dsum_cancel_case)
     return sweep.report("dsum-cancel", {"M_max": M_max})
 

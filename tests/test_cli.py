@@ -527,6 +527,21 @@ def test_cache_key_covers_source_digest(capsys, monkeypatch):
     assert len([f for f in os.listdir(cache_dir) if f.endswith(".json")]) == 2
 
 
+@pytest.mark.parametrize("payload", [{}, [], {"stdout": 5, "exit_code": 0},
+                                     {"stdout": "x\n", "exit_code": "zero"}])
+def test_malformed_cache_entry_is_a_miss(capsys, payload):
+    args = ("sum", "kloosterman", "--m", "2", "--n", "3", "--c", "13", "--json")
+    _, fresh, _ = run(capsys, *args, "--no-cache")
+    assert run(capsys, *args)[1] == fresh
+    cache_dir = os.environ["DELTASUM_CACHE"]
+    (entry,) = [os.path.join(cache_dir, f) for f in os.listdir(cache_dir) if f.endswith(".json")]
+    with open(entry, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    assert run(capsys, *args) == (0, fresh, "")  # recomputed, no traceback
+    with open(entry, encoding="utf-8") as fh:
+        assert json.load(fh) == {"stdout": fresh, "exit_code": 0}
+
+
 def test_cache_key_covers_numpy_and_python_versions(monkeypatch):
     from deltasum import cli
 

@@ -11,6 +11,7 @@ from deltasum.characters import DirichletCharacter, enumerate_characters, unit_r
 from deltasum.errors import (
     BudgetExceeded,
     InvalidValue,
+    LimitExceeded,
     ModulusMismatch,
     NotPrime,
     NotUnit,
@@ -22,6 +23,7 @@ from deltasum.expsums import (
     SCREEN_SLACK,
     UNIT_EPS,
     ExpSumValue,
+    ExpSumValues,
     c1_sums,
     c2_sums,
     c3_closed,
@@ -170,7 +172,8 @@ def _weil_grid(c_max, pairs_per_c, seed):
 def test_kloosterman_screen_within_slack_on_weil_grids(c_max, pairs_per_c, seed, c_limit):
     cases = [case for case in _weil_grid(c_max, pairs_per_c, seed) if case[2] <= c_limit]
     ms, ns, cs = (np.array(col, dtype=np.int64) for col in zip(*cases))
-    screened, est, gap, divisors = kloosterman_screen(ms, ns, cs)
+    sums, gap, divisors = kloosterman_screen(ms, ns, cs)
+    screened, est = sums.value, sums.est_error
     for (m, n, c), got, e, g, d in zip(cases, screened.tolist(), est, gap, divisors):
         want = kloosterman(m, n, c)
         assert abs(got - want.value) <= g
@@ -178,10 +181,12 @@ def test_kloosterman_screen_within_slack_on_weil_grids(c_max, pairs_per_c, seed,
 
 
 def test_kloosterman_screen_edges():
-    assert [a.shape for a in kloosterman_screen([], [], [])] == [(0,)] * 4
+    sums, gap, divisors = kloosterman_screen([], [], [])
+    assert [a.shape for a in (sums.value, sums.est_error, gap, divisors)] == [(0,)] * 4
     # unsorted and repeated moduli come back in input order
     cases = [(3, 7, 30), (0, 0, 8), (5, 1, 1), (3, 7, 7)]
-    got, est, gap, divisors = kloosterman_screen(*zip(*cases))
+    sums, gap, divisors = kloosterman_screen(*zip(*cases))
+    got, est = sums.value, sums.est_error
     want = [kloosterman(3, 7, 30).value, 4, 1, kloosterman(3, 7, 7).value]
     assert np.allclose(got, want, rtol=0, atol=1e-12)
     assert np.all(np.abs(got - want) <= gap)
@@ -774,8 +779,9 @@ def _hex(z):
 def test_voronoi_block_entries_equal_one_entry_calls(group):
     rows = _voronoi_block_rows(*group)
     ns = list(range(1, 7))
-    raw, counts = voronoi_char_sums_raw(ns, rows, *group)
-    closed = voronoi_char_sums_closed(ns, rows, *group)
+    raw = voronoi_char_sums_raw(ns, rows, *group)
+    raw, counts = raw.value, raw.terms[:, 0]
+    closed = voronoi_char_sums_closed(ns, rows, *group).value
     assert len({(ell, M) for _, ell, M in rows}) > 1
     for i, (r, ell, M) in enumerate(rows):
         for j, n in enumerate(ns):
@@ -870,3 +876,20 @@ def test_expsumvalue_invariants():
     assert s.est_error <= 1e-12 * s.terms
     with pytest.raises(Exception):
         ExpSumValue(5.0 + 0j, 2, 0.0)
+
+
+def test_expsumvalues_checks_every_entry_and_indexes_as_expsumvalue():
+    value = np.array([[1.5 - 0.25j, 0j, -2.0 + 1e-3j], [0.5j, 2.0 + 0j, -1.0 - 1.0j]])
+    terms = np.array([[3], [4]])  # one count per row, as voronoi_char_sums_raw's
+    for block_terms, row_terms in ((terms, terms[:, 0]), (4, (4, 4))):
+        est = UNIT_EPS * np.maximum(block_terms, 1)
+        block = ExpSumValues(value, block_terms, est)
+        for (i, j), z in np.ndenumerate(value):
+            want = ExpSumValue(z, row_terms[i], UNIT_EPS * max(int(row_terms[i]), 1))
+            assert _bits(block[i, j]) == _bits(want)
+        broken = value.copy()
+        broken[1, 2] = 5.0  # |value| > terms + est_error at one entry
+        with pytest.raises(LimitExceeded):
+            ExpSumValues(broken, block_terms, est)
+    with pytest.raises(LimitExceeded):  # est_error > 1e-12 * terms at one entry
+        ExpSumValues(value[0], 3, np.array([0.0, 1e-11, 0.0]))

@@ -83,9 +83,12 @@ def test_kernel_work_check_sees_transforms_and_table_builders():
 
 # Suites only judge: every route a suite compares and every error bound is
 # a kernel function, so suites name no rounding constant, root table,
-# gather or reduction, and cli renders the ExpSumValues it is given.
+# gather or reduction, build or check no ExpSumValue or block of them (every
+# count and bound comes from the kernels), and cli renders the ExpSumValues
+# it is given.
 SUITE_FORBIDDEN = {"UNIT_EPS", "SCREEN_SLACK", "TRANSFORM_EPS", "unit_roots",
-                   "kloosterman_terms", "fsum_rows", "gauss_sum", "ExpSumValue"}
+                   "kloosterman_terms", "fsum_rows", "gauss_sum", "ExpSumValue",
+                   "ExpSumValues", "breaks_contract", "check_rows"}
 
 
 def _named(tree, names):
@@ -137,9 +140,12 @@ def test_bound_checks_see_names_attributes_imports_and_calls():
         "def c2_case(chi):\n    return gauss_sum(chi) * roots(chi.modulus)[1]\n"
         "def suite_weil(phi):\n    return expsums.SCREEN_SLACK * phi, TRANSFORM_EPS\n"
         "def _gauss(g, q):\n    return expsums.ExpSumValue(g, q - 1, 4e-15 * q)\n"
-        "def render(value):\n    return isinstance(value, ExpSumValue)\n")
+        "def render(value):\n    return isinstance(value, ExpSumValue)\n"
+        "def _block(v):\n    check_rows(v, 1, 0.0)\n"
+        "    return expsums.ExpSumValues(v, 1, 0.0), breaks_contract(abs(v), 1, 0.0)\n")
     assert sorted(set(_named(tree, SUITE_FORBIDDEN))) == [
         ("<module>", "ExpSumValue"), ("<module>", "fsum_rows"), ("<module>", "unit_roots"),
+        ("_block", "ExpSumValues"), ("_block", "breaks_contract"), ("_block", "check_rows"),
         ("_gauss", "ExpSumValue"), ("c1_case", "ExpSumValue"), ("c1_case", "UNIT_EPS"),
         ("c1_case", "fsum_rows"), ("c1_case", "kloosterman_terms"), ("c2_case", "gauss_sum"),
         ("render", "ExpSumValue"), ("suite_weil", "SCREEN_SLACK"),

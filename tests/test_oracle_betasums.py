@@ -38,8 +38,9 @@ def check_block(group, rows, ns):
     """Every raw and closed entry of one block against the oracle; returns
     the number of vanishing closed entries."""
     m, m_prime, c, d = group
-    raw, counts = voronoi_char_sums_raw(ns, rows, *group)
-    closed = voronoi_char_sums_closed(ns, rows, *group)
+    raw = voronoi_char_sums_raw(ns, rows, *group)
+    raw, counts = raw.value, raw.terms[:, 0]
+    closed = voronoi_char_sums_closed(ns, rows, *group).value
     terms = m * c // m_prime
     vanishing = 0
     for i, (r, ell, M) in enumerate(rows):

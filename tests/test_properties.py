@@ -93,7 +93,8 @@ def prime_power_cases(draw):
 
 def assert_screen_matches_scalar(cases):
     ms, ns, cs = (np.array(col, dtype=np.int64) for col in zip(*cases))
-    screened, est, gap, _ = kloosterman_screen(ms, ns, cs)
+    sums, gap, _ = kloosterman_screen(ms, ns, cs)
+    screened, est = sums.value, sums.est_error
     for (m, n, c), got, e, g in zip(cases, screened, est, gap):
         want = kloosterman(m, n, c)
         assert abs(got - want.value) <= g  # the weil sweep's slack
@@ -156,8 +157,9 @@ def direct_beta_sum(n, m, m_prime, c, d, r, ell, M):
 def test_voronoi_group_rows_match_direct_sum(group_rows, ns):
     group, rows = group_rows
     m, m_prime, c, d = group
-    raw, counts = voronoi_char_sums_raw(ns, rows, *group)
-    closed = voronoi_char_sums_closed(ns, rows, *group)
+    raw = voronoi_char_sums_raw(ns, rows, *group)
+    raw, counts = raw.value, raw.terms[:, 0]
+    closed = voronoi_char_sums_closed(ns, rows, *group).value
     for i, (r, ell, M) in enumerate(rows):
         for j, n in enumerate(ns):
             want, count = direct_beta_sum(n, m, m_prime, c, d, r, ell, M)

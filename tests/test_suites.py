@@ -304,7 +304,8 @@ def test_block_sweeps_offer_the_scalar_deviations_with_zero_slack(monkeypatch, n
     real_offer = _Sweep.offer
 
     def recording_offer(self, devs, slacks, witness_of, case_fn):
-        offers.append((devs.copy(), slacks.copy(), witness_of, case_fn))
+        offers.append((devs.copy(), np.broadcast_to(slacks, devs.shape).copy(), witness_of,
+                       case_fn))
         real_offer(self, devs, slacks, witness_of, case_fn)
 
     monkeypatch.setattr(_Sweep, "offer", recording_offer)
@@ -433,7 +434,7 @@ def test_dsum_sweep_matches_case_by_case_reference(monkeypatch):
     real_offer = _Sweep.offer
 
     def recording_offer(self, devs, slacks, witness_of, case_fn):
-        offers.append((devs.copy(), slacks.copy()))
+        offers.append((devs.copy(), np.broadcast_to(slacks, devs.shape).copy()))
         real_offer(self, devs, slacks, witness_of, case_fn)
 
     monkeypatch.setattr(_Sweep, "offer", recording_offer)
