@@ -18,13 +18,15 @@ last four runs (a bounded memo of at most 4 x 202 floats, whatever x is),
 and each value is bit-identical to a run of its own.
 
 bessel_j also takes a 1-D array of arguments.  Each element is classified
-by the same thresholds.  The Miller elements share one backward loop over
-the order, vectorised over the elements, in which every element starts at
-its own order.  The series elements share one loop over the terms, which
-each element leaves on its own stopping test.  Either way every element
-goes through exactly the operations of the scalar call and gets the same
-bits.  The scalar _series_j stays for scalar calls, where a one-element
-batch costs about thirty times as much (at nu = 42).
+by the same thresholds (_regime_edges).  Both batch loops step the whole
+array.  The Miller elements share one backward loop over the order, from
+the highest start down; an element holds exact zeros until the loop
+reaches its own start.  The series elements share one loop over the
+terms, under a mask that drops each element on its own stopping test.
+Either way every element goes through exactly the operations of the
+scalar call and gets the same bits.  The scalar _series_j stays for
+scalar calls, where a one-element batch costs about thirty times as much
+(at nu = 42).
 
 The window integral's integrand runs on arrays too: WindowFunction.values
 masks the nodes off the support and on the plateau, and calls math.exp
@@ -91,32 +93,26 @@ def _series_j(nu, x):
 def _series_j_batch(nu, x):
     """_series_j on each element of the 1-D array x, in one loop over j.
 
-    Each element takes exactly the scalar's steps and leaves the loop on
-    its own stopping test, so it gets the same bits.
+    Every step runs on the whole array under the mask live, which drops an
+    element on its own stopping test, so each element takes exactly the
+    scalar's steps and gets the same bits.
     """
     half = 0.5 * x
     term = np.ones(x.size)
     for i in range(1, nu + 1):
         term *= half / i
-    out = np.zeros(x.size)
     # a term that is 0.0 here made the scalar return 0.0; one that underflows
     # in the loop below keeps its running total
-    live = np.flatnonzero(term != 0.0)
-    term = term[live]
+    live = term != 0.0
     total = term.copy()
-    x2 = -half[live] * half[live]
+    x2 = -half * half
     for j in range(1, 400):
-        term *= x2 / (j * (nu + j))
-        total += term
-        stop = np.abs(term) <= 1e-17 * np.maximum(np.abs(total), 1e-280)
-        if stop.any():
-            out[live[stop]] = total[stop]
-            go = ~stop
-            live, term, total, x2 = live[go], term[go], total[go], x2[go]
-            if not live.size:
-                break
-    out[live] = total  # elements that ran all 399 steps
-    return out
+        np.multiply(term, x2 / (j * (nu + j)), out=term, where=live)
+        np.add(total, term, out=total, where=live)
+        live &= np.abs(term) > 1e-17 * np.maximum(np.abs(total), 1e-280)
+        if not live.any():
+            break
+    return total
 
 
 def _miller_start(nu, x):
@@ -196,39 +192,35 @@ def _hankel_j(nu, x):
 def _miller_j_batch(nu, x):
     """_miller_j on each element of the 1-D array x, in one backward loop.
 
-    Elements are sorted by their starting order, so the ones already
-    running at order k are a prefix of the arrays; each step does on that
-    prefix exactly what _miller_run does on one element.
+    Every order k runs on the whole array.  An element that starts below k
+    holds exact zeros there ((2k/x)*0 - 0 = 0 for every x > 2), so each
+    element takes exactly _miller_run's operations from its own start.
     """
     starts = _miller_starts(nu, x)
-    order = np.argsort(-starts, kind="stable")
-    starts = starts[order]
-    xs = x[order]
-    size = xs.size
-    fp = np.zeros(size)      # J_{k+1} (unnormalized)
-    f = np.zeros(size)       # J_k
-    fm = np.empty(size)
-    norm = np.zeros(size)
-    result = np.zeros(size)
-    n = 0
-    for k in range(int(starts[0]), 0, -1):
-        began = n
-        while n < size and starts[n] == k:
-            n += 1
-        f[began:n] = 1e-300  # the elements whose recurrence starts at k
-        fp[began:n] = 0.0
-        np.divide(2.0 * k, xs[:n], out=fm[:n])
-        np.multiply(fm[:n], f[:n], out=fm[:n])
-        np.subtract(fm[:n], fp[:n], out=fm[:n])
+    begins = set(starts.tolist())  # the orders at which some element starts
+    fp = np.zeros(x.size)      # J_{k+1} (unnormalized)
+    f = np.zeros(x.size)       # J_k
+    fm = np.empty(x.size)
+    norm = np.zeros(x.size)
+    for k in range(int(starts.max()), 0, -1):
+        if k in begins:
+            f[starts == k] = 1e-300
+        np.divide(2.0 * k, x, out=fm)
+        fm *= f
+        fm -= fp
         fp, f, fm = f, fm, fp
         kk = k - 1
         if kk == nu:
-            result[:n] = f[:n]
+            result = f.copy()
         if kk % 2 == 0:
-            norm[:n] += f[:n] if kk == 0 else 2.0 * f[:n]
-    out = np.empty(size)
-    out[order] = result / norm
-    return out
+            norm += f if kk == 0 else 2.0 * f
+    return result / norm
+
+
+def _regime_edges(nu):
+    """(series, hankel): J_nu(x) takes the series while x*x <= series, the
+    Hankel expansion once x > hankel and Miller's recurrence between."""
+    return 4.0 * (nu + 1), max(1e4, 3.0 * nu * nu)
 
 
 def _bessel_j_array(nu, x):
@@ -241,9 +233,10 @@ def _bessel_j_array(nu, x):
     out = np.zeros(x.size)
     zero = x == 0.0
     out[zero] = 1.0 if nu == 0 else 0.0
+    series_edge, hankel_edge = _regime_edges(nu)
     with np.errstate(over="ignore"):  # x*x = inf for x > 1e154 is still a valid test
-        series = ~zero & (x * x <= 4.0 * (nu + 1))
-    hankel = ~series & (x > max(1e4, 3.0 * nu * nu))
+        series = ~zero & (x * x <= series_edge)
+    hankel = ~series & (x > hankel_edge)
     miller = ~zero & ~series & ~hankel
     if series.any():
         out[series] = _series_j_batch(nu, x[series])
@@ -269,9 +262,10 @@ def bessel_j(nu, x):
         raise InvalidValue(f"argument must be finite and >= 0, got {x}")
     if x == 0.0:
         return 1.0 if nu == 0 else 0.0
-    if x * x <= 4.0 * (nu + 1):
+    series_edge, hankel_edge = _regime_edges(nu)
+    if x * x <= series_edge:
         return _series_j(nu, x)
-    if x > max(1e4, 3.0 * nu * nu):
+    if x > hankel_edge:
         return _hankel_j(nu, x)
     return _miller_j(nu, x)
 
@@ -444,7 +438,8 @@ def _bisect(f, a, b, tol, depth):
         both = _panel_values(f, np.concatenate([a, a, mid]), np.concatenate([b, mid, b]))
         whole, left, right = np.split(both, 3)
         halves = left + right
-        diff = np.array([abs(d) for d in (whole - halves).tolist()])
+        d = whole - halves
+        diff = np.hypot(d.real, d.imag)  # libm's hypot, which abs(complex) calls too
         done = (diff <= tol) | ((b - a) < 1e-13)
         levels.append((a, halves, diff, done))
         split = np.flatnonzero(~done)

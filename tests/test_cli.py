@@ -1,10 +1,14 @@
+import argparse
 import json
 import os
+import random
+import signal
 
 import pytest
 
 from deltasum import cli
 from deltasum.cli import build_parser, main
+from deltasum.suites import SUITES
 
 
 @pytest.fixture(autouse=True)
@@ -696,3 +700,74 @@ def test_help_of_the_cached_parser_reads_columns_when_printed(capsys, monkeypatc
         assert code == 0
     assert max(map(len, outs["40"].splitlines())) < max(map(len, outs["200"].splitlines()))
     assert len(outs["40"].splitlines()) > len(outs["200"].splitlines())
+
+
+# The argv fuzz: each subcommand with every edge value as its first argument,
+# every flag once with each edge value on a valid base argv, and seeded pairs
+# of flags.  Every call must exit 0-3 without a traceback, within
+# FUZZ_LIMIT_S seconds.
+FUZZ_EDGES = ("0", "-1", "9" * 40, str(2**31 + 1), "1e308", "nan", "inf", "-inf",
+              "5e-324", "", "abc")
+FUZZ_BASES = {"sum": [("sum", kind, *args) for kind, args in SUM_ARGS.items()],
+              "verify": [("verify", suite, "--grid-preset", "smoke") for suite in sorted(SUITES)],
+              "optimize": [("optimize", "--paper")],
+              "bessel": [("bessel", "--nu", "42", "--x", "30")],
+              "integral": [("integral",)]}
+FUZZ_PAIRS = 30  # per subcommand
+FUZZ_LIMIT_S = 6
+
+
+def _known_slow(flags):
+    """Legitimate work beyond FUZZ_LIMIT_S, left out of the fuzz:
+    `integral --M 1` or `--M 2` (about 10**5 initial panels, 10-15 s) and
+    `integral --tol` <= 1e-300 (about 4 s of bisection before the panel limit
+    stops it)."""
+    def tiny(value):
+        try:
+            return float(value) <= 1e-300
+        except ValueError:
+            return False
+    return any((flag == "--M" and value in ("1", "2")) or (flag == "--tol" and tiny(value))
+               for flag, value in flags)
+
+
+def _fuzz_argv(rng):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for name, parser in sub.choices.items():
+        bases = FUZZ_BASES[name]
+        flags = [(a.option_strings[0], a.nargs != 0) for a in parser._actions
+                 if a.option_strings and not isinstance(a, argparse._HelpAction)]
+        singles = [[(flag, value)] for flag, takes_value in flags
+                   for value in (FUZZ_EDGES if takes_value else [None])]
+        pairs = [[(flag, rng.choice(FUZZ_EDGES) if takes_value else None)
+                  for flag, takes_value in rng.sample(flags, 2)] for _ in range(FUZZ_PAIRS)]
+        yield from ((name, value) for value in FUZZ_EDGES)
+        for call in singles + pairs:
+            if not _known_slow(call):
+                yield (*rng.choice(bases), *[arg for pair in call for arg in pair if arg is not None])
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs signal.alarm")
+def test_argv_fuzz_exits_0_to_3_without_traceback(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)  # fuzzed --cache-dir values are relative paths
+
+    def too_slow(signum, frame):
+        raise TimeoutError(f"over {FUZZ_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    failures = []
+    try:
+        for argv in _fuzz_argv(random.Random(2016)):
+            signal.alarm(FUZZ_LIMIT_S)
+            try:
+                code, _, err = run(capsys, *argv)
+            except Exception as exc:  # the alarm's TimeoutError too
+                failures.append((argv, repr(exc)))
+                continue
+            finally:
+                signal.alarm(0)
+            if code not in (0, 1, 2, 3) or "Traceback" in err:
+                failures.append((argv, code, err[-300:]))
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert not failures

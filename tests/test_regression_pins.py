@@ -148,7 +148,9 @@ def test_integral_bits_pinned(kind, c, tol):
     assert (value.real.hex(), value.imag.hex(), float(err).hex()) == INTEGRAL_BITS[(kind, c, tol)]
 
 
-@pytest.mark.parametrize("c", [29.0, 8.0])
+# c = 29 runs the series, the others Miller; at c = 4 and 2 the Miller
+# starts span 130-230 and 210-410 across the 45-node chunks
+@pytest.mark.parametrize("c", [29.0, 8.0, 4.0, 2.0])
 def test_integral_bits_independent_of_batch_size(c, monkeypatch):
     from deltasum import oscillatory
 
