@@ -11,26 +11,31 @@ normalized suite compares a raw route against a closed form, or a value
 against its theorem's bound plus the value's est_error.
 
 Only this module sweeps cases and builds reports; the kernels only
-compute.  One accumulator, `_Sweep`, keeps the bookkeeping of every
-suite, so all twelve share one witness rule and one pass rule.  The
-witness is the first case that reaches the maximum: a case replaces the
-running worst only if its deviation is strictly larger, and the first
-case offered always sets it.  A suite passes when its worst deviation is
-at most its ceiling: 1.0 for the normalized deviations and 0.0 for the
-exact checks (`reciprocity`, `exponent`).
+compute.  CASES holds the grid of every suite but `bessel-decay` and
+`exponent` as an enumerator that takes the suite's keywords except
+tolerance_scale and lazily yields, in sweep order, witness tuples or one
+block (kernel arguments, size, witness_of) per kernel call.  One
+accumulator, `_Sweep`, whose `run` is the one sweep loop, gives all twelve
+suites one witness rule and one pass rule.  The witness is the first case
+that reaches the maximum: a case replaces the running worst only if its
+deviation is strictly larger, and the first case offered always sets it.
+A suite passes when its worst deviation is at most its ceiling: 1.0 for
+the normalized deviations and 0.0 for the exact checks.
 
-Each suite has a matching *_case function that re-evaluates one witness,
-so a stored report can be re-checked bit for bit.  A suite declares only
-the keywords it reads; `run_suite` rejects any other with InvalidValue.
+Each *_case(*witness) re-evaluates one witness, so a stored report can
+be re-checked bit for bit.  Suites declare only the keywords they read,
+grid fields too, and run_suite raises InvalidValue on any other.
 """
 
 from __future__ import annotations
 
 import inspect
+import itertools
 import math
 import time
 from dataclasses import asdict, replace
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -72,19 +77,28 @@ from .scan import Lcg, ScanReport
 class _Sweep:
     """Case count, worst deviation and witness of one suite run, and its clock.
 
-    `add` takes cases one at a time (or a block whose worst is known);
-    `offer` takes a batch of deviations that only nominate candidates, with
-    one slack per deviation or one for all.  In grid order, a batched case
-    is re-evaluated through its scalar *_case function when its batched
+    `run` sweeps an enumerator: it adds each witness w as case(*w) and
+    offers each block (args, size, witness_of) as block_devs(*args), whose
+    deviations only nominate candidates, within their slacks.  In grid
+    order, a batched case is re-evaluated through case when its batched
     deviation exceeds the running worst minus its slack, and only that
-    scalar value is compared and kept.  While every slack bounds |batched -
-    scalar|, a skipped case could not have raised the worst, so the result
-    is exactly that of the case-by-case sweep.
+    scalar value is kept.  While every slack bounds |batched - scalar|, a
+    skipped case could not have raised the worst, so the result is exactly
+    that of the case-by-case sweep.
     """
 
     def __init__(self):
         self.t0 = time.perf_counter()
         self.cases, self.worst, self.witness = 0, 0.0, None
+
+    def run(self, cases, case, block_devs=None):
+        if block_devs is None:
+            for witness in cases:
+                self.add(witness, case(*witness))
+        else:
+            for args, _size, witness_of in cases:
+                self.offer(*block_devs(*args), witness_of, case)
+        return self
 
     def add(self, witness, dev, count=1):
         if dev > self.worst or not self.cases:
@@ -138,28 +152,25 @@ def psi_average_case(r, m, c, p, M, tolerance_scale=1.0):
                       tolerance_scale)
 
 
-def suite_psi_average(grid=None, tolerance_scale=1.0):
+def psi_average_cases(p=(3, 5, 7), M=(11, 13), c_max=6, r_max=10, m_max=10):
+    pairs = [(r, m) for r in range(1, r_max + 1) for m in range(1, m_max + 1)]
+    for p_, M_, c in itertools.product(p, M, range(1, c_max + 1)):
+        if math.gcd(p_, c * M_) == 1:
+            yield (pairs, c, p_, M_), len(pairs), lambda i, c=c, p=p_, M=M_: (*pairs[i], c, p, M)
+
+
+def suite_psi_average(p=(3, 5, 7), M=(11, 13), c_max=6, r_max=10, m_max=10,
+                      tolerance_scale=1.0):
     """Raw = closed for the psi-average, one (p, M, c) block of (r, m)
     cases at a time."""
-    sweep = _Sweep()
-    grid = grid or {"p": [3, 5, 7], "M": [11, 13], "c_max": 6, "r_max": 10, "m_max": 10}
-    pairs = [(r, m) for r in range(1, grid["r_max"] + 1) for m in range(1, grid["m_max"] + 1)]
-    skipped = 0
-
-    def case(*witness):
-        return psi_average_case(*witness, tolerance_scale=tolerance_scale)
-
-    for p in grid["p"]:
-        for M in grid["M"]:
-            for c in range(1, grid["c_max"] + 1):
-                if math.gcd(p, c * M) != 1:
-                    skipped += len(pairs)
-                    continue
-                devs = _deviation(psi_average_sums_raw(pairs, c, p, M),
-                                  psi_average_sums_closed(pairs, c, p, M), tolerance_scale)
-                sweep.offer(devs, 0.0,
-                            lambda i, c=c, p=p, M=M: (*pairs[i], c, p, M), case)
-    return sweep.report("psi-average", dict(grid, skipped=skipped))
+    sweep = _Sweep().run(
+        psi_average_cases(p, M, c_max, r_max, m_max),
+        partial(psi_average_case, tolerance_scale=tolerance_scale),
+        lambda *args: (_deviation(psi_average_sums_raw(*args), psi_average_sums_closed(*args),
+                                  tolerance_scale), 0.0))
+    size = len(p) * len(M) * max(c_max, 0) * max(r_max, 0) * max(m_max, 0)
+    grid = {"p": list(p), "M": list(M), "c_max": c_max, "r_max": r_max, "m_max": m_max}
+    return sweep.report("psi-average", dict(grid, skipped=size - sweep.cases))
 
 
 # ---------------------------------------------------------------- reciprocity
@@ -174,23 +185,25 @@ def reciprocity_case(a, b, n):
 RECIPROCITY_MAX_MODULUS = 10**6  # a, b and n are drawn from 1..this
 
 
-def suite_reciprocity(trials=10**4, seed=1):
-    """Exact Q/Z reciprocity at seeded coprime (a, b) and n.  Fewer than one
-    trial raises InvalidValue, more than expsums.DEFAULT_BUDGET
-    BudgetExceeded, both before any draw."""
+def reciprocity_cases(trials=10**4, seed=1):
     if trials < 1:
         raise InvalidValue(f"trials must be at least 1, got {trials}")
     if trials > expsums.DEFAULT_BUDGET:
         raise BudgetExceeded(f"{trials} trials exceed the budget {expsums.DEFAULT_BUDGET}")
-    sweep = _Sweep()
-    rng = Lcg(seed)
-    while sweep.cases < trials:
+    rng, drawn = Lcg(seed), 0
+    while drawn < trials:
         a = 1 + rng.below(RECIPROCITY_MAX_MODULUS)
         b = 1 + rng.below(RECIPROCITY_MAX_MODULUS)
-        if math.gcd(a, b) != 1:
-            continue
-        n = 1 + rng.below(RECIPROCITY_MAX_MODULUS)
-        sweep.add((a, b, n), reciprocity_case(a, b, n))
+        if math.gcd(a, b) == 1:
+            drawn += 1
+            yield a, b, 1 + rng.below(RECIPROCITY_MAX_MODULUS)
+
+
+def suite_reciprocity(trials=10**4, seed=1):
+    """Exact Q/Z reciprocity at seeded coprime (a, b) and n.  Fewer than one
+    trial raises InvalidValue, more than expsums.DEFAULT_BUDGET
+    BudgetExceeded, both before any draw."""
+    sweep = _Sweep().run(reciprocity_cases(trials, seed), reciprocity_case)
     grid = {"trials": trials, "seed": seed, "max_modulus": RECIPROCITY_MAX_MODULUS}
     return sweep.report("reciprocity", grid, ceiling=0.0)
 
@@ -201,21 +214,22 @@ def c1_case(c, p, M, n, ell, tolerance_scale=1.0):
     return _deviation(*c1_sums(c, p, M, n, ell), tolerance_scale)
 
 
-def suite_c1(c_max=20, seed=2, tolerance_scale=1.0):
-    sweep = _Sweep()
+def c1_cases(c_max=20, seed=2):
     rng = Lcg(seed)
     small_primes = [3, 5, 7, 11, 13]
-    skipped = 0
     for c in range(1, c_max + 1):
         for _try in range(3):
             p = rng.choice(small_primes)
             M = rng.choice(small_primes)
             n = 1 + rng.below(20)
             ell = rng.choice([2, 3, 5])
-            if math.gcd(p * M, c) != 1:
-                skipped += 1
-                continue
-            sweep.add((c, p, M, n, ell), c1_case(c, p, M, n, ell, tolerance_scale))
+            if math.gcd(p * M, c) == 1:
+                yield c, p, M, n, ell
+
+
+def suite_c1(c_max=20, seed=2, tolerance_scale=1.0):
+    sweep = _Sweep().run(c1_cases(c_max, seed), partial(c1_case, tolerance_scale=tolerance_scale))
+    skipped = 3 * max(c_max, 0) - sweep.cases
     return sweep.report("c1", {"c_max": c_max, "seed": seed, "skipped": skipped})
 
 
@@ -226,8 +240,7 @@ def c2_case(M, chi_index, p, c, n, ell, tolerance_scale=1.0):
     return _deviation(*c2_sums(M, chi, p, c, n, ell), tolerance_scale)
 
 
-def suite_c2(M_list=(5, 7), seed=3, tolerance_scale=1.0):
-    sweep = _Sweep()
+def c2_cases(M_list=(5, 7), seed=3):
     rng = Lcg(seed)
     for M in M_list:
         for chi_index in range(1, M - 1):
@@ -236,10 +249,12 @@ def suite_c2(M_list=(5, 7), seed=3, tolerance_scale=1.0):
                 c = 1 + rng.below(6)
                 n = 1 + rng.below(10)
                 ell = rng.choice([2, 3, 5])
-                if math.gcd(p * c, M) != 1:
-                    continue
-                sweep.add((M, chi_index, p, c, n, ell),
-                          c2_case(M, chi_index, p, c, n, ell, tolerance_scale))
+                if math.gcd(p * c, M) == 1:
+                    yield M, chi_index, p, c, n, ell
+
+
+def suite_c2(M_list=(5, 7), seed=3, tolerance_scale=1.0):
+    sweep = _Sweep().run(c2_cases(M_list, seed), partial(c2_case, tolerance_scale=tolerance_scale))
     return sweep.report("c2", {"M_list": list(M_list), "seed": seed})
 
 
@@ -256,49 +271,52 @@ def c3_case(M, chi_index, v, tolerance_scale=1.0):
     return dev
 
 
+def c3_cases(M_list=(5, 7, 11, 13)):
+    for M in M_list:
+        for chi_index in range(1, M - 1):
+            for v in range(1, M):
+                yield M, chi_index, v
+
+
 def suite_c3(M_list=(5, 7, 11, 13), tolerance_scale=1.0):
     """Raw = closed for every chi and unit v, the closed form being exact:
     M(M - 2) at v = 1 and -M(1 + chi(v)) off it.  Since |closed| <= 2M off
     the diagonal, a passing case also has |raw| < 3M."""
-    sweep = _Sweep()
-    for M in M_list:
-        for chi_index in range(1, M - 1):
-            for v in range(1, M):
-                sweep.add((M, chi_index, v), c3_case(M, chi_index, v, tolerance_scale))
+    sweep = _Sweep().run(c3_cases(M_list), partial(c3_case, tolerance_scale=tolerance_scale))
     return sweep.report("c3", {"M_list": list(M_list)})
 
 
 # ------------------------------------------------------------------------ c4
 
-def _c4_sample(rng):
-    """One admissible random instance; resamples deterministically."""
-    while True:
-        r_prime = rng.choice([1, 2, 3, 4, 5])
-        ell = rng.choice([3, 5, 7])
-        ell_prime = rng.choice([3, 5, 7])
-        if ell == ell_prime:
-            continue
-        p = rng.choice([11, 13, 17, 19])
-        p_prime = rng.choice([11, 13, 17, 19])
-        q1 = rng.choice([1, 2, 3])
-        q2t = rng.choice([1, 2])
-        m2 = rng.choice([1, 2, 3])
-        M = rng.choice([101, 103])
-        h = rng.choice([1, 2])
-        big = r_prime * ell * ell_prime
-        if math.gcd(q1 * q2t, big) != 1:
-            continue
-        if math.gcd(p, r_prime * ell) != 1 or math.gcd(p_prime, r_prime * ell_prime) != 1:
-            continue
+def c4_cases(instances=200, seed=4):
+    """Admissible random instances; an inadmissible draw is redrawn."""
+    rng = Lcg(seed)
+    for _i in range(instances):
+        while True:
+            r_prime = rng.choice([1, 2, 3, 4, 5])
+            ell = rng.choice([3, 5, 7])
+            ell_prime = rng.choice([3, 5, 7])
+            if ell == ell_prime:
+                continue
+            p = rng.choice([11, 13, 17, 19])
+            p_prime = rng.choice([11, 13, 17, 19])
+            q1 = rng.choice([1, 2, 3])
+            q2t = rng.choice([1, 2])
+            m2 = rng.choice([1, 2, 3])
+            M = rng.choice([101, 103])
+            h = rng.choice([1, 2])
+            big = r_prime * ell * ell_prime
+            if (math.gcd(q1 * q2t, big) == 1 and math.gcd(p, r_prime * ell) == 1
+                    and math.gcd(p_prime, r_prime * ell_prime) == 1):
+                break
         n = rng.below(big)
         c2 = 1 + rng.below(9)
-        return (c2, q2t, p, p_prime, q1, m2, M, h, n, r_prime, ell, ell_prime)
+        yield c2, q2t, p, p_prime, q1, m2, M, h, n, r_prime, ell, ell_prime
 
 
-def c4_case(args):
+def c4_case(c2, q2t, p, p_prime, q1, m2, M, h, n, r_prime, ell, ell_prime):
     """Ratio |c4| / (10 sqrt(Q) sqrt(r'ell) sqrt(r'ell') sqrt(gcd(n, Q)))."""
-    (c2, q2t, p, p_prime, q1, m2, M, h, n, r_prime, ell, ell_prime) = args
-    val = c4_correlation(*args)
+    val = c4_correlation(c2, q2t, p, p_prime, q1, m2, M, h, n, r_prime, ell, ell_prime)
     big = r_prime * ell * ell_prime
     bound = 10.0 * math.sqrt(big * (r_prime * ell) * (r_prime * ell_prime)
                              * max(1, math.gcd(n, big)))
@@ -306,11 +324,7 @@ def c4_case(args):
 
 
 def suite_c4(instances=200, seed=4):
-    sweep = _Sweep()
-    rng = Lcg(seed)
-    for _i in range(instances):
-        args = _c4_sample(rng)
-        sweep.add(args, c4_case(args))
+    sweep = _Sweep().run(c4_cases(instances, seed), c4_case)
     # x -> fl(10 x) is monotone, so this is the largest of the cases' 10 * dev
     notes = {"observed_max_normalized_ratio": 10.0 * sweep.worst}
     return sweep.report("c4", {"instances": instances, "seed": seed}, notes=notes)
@@ -324,42 +338,39 @@ def voronoi_case(n, m, m_prime, c, d, r, ell, M, tolerance_scale=1.0):
     return _deviation(raw, closed, tolerance_scale)
 
 
-def suite_voronoi_char(grid=None, tolerance_scale=1.0):
+def voronoi_cases(m_max=3, c_max=12, m_prime_max=12, ell=(3, 5, 7), M=(13, 29), r_max=8,
+                  n_max=8):
+    rs, ns = range(1, r_max + 1), range(1, n_max + 1)
+    for m, c in itertools.product(range(1, m_max + 1), range(1, c_max + 1)):
+        for d in [x for x in range(1, c + 1) if c % x == 0]:
+            for m_prime in [x for x in range(1, m_prime_max + 1) if (m * c) % x == 0]:
+                c1 = math.gcd(m_prime, c // d)
+                # (ell, M, r) order, so rows x ns flattens in grid order
+                rows = [(r, ell_, M_) for ell_ in ell if c1 % ell_
+                        for M_ in M if math.gcd(M_, c) == 1 for r in rs]
+                if rows and ns:  # the block kernels take at least one n
+                    yield ((ns, rows, m, m_prime, c, d), len(rows) * len(ns),
+                           lambda i, g=(m, m_prime, c, d), rows=rows:
+                           (ns[i % len(ns)], *g, *rows[i // len(ns)]))
+
+
+def suite_voronoi_char(m_max=3, c_max=12, m_prime_max=12, ell=(3, 5, 7), M=(13, 29),
+                       r_max=8, n_max=8, tolerance_scale=1.0):
     """Raw = closed for the beta-sum, one (m, m', c, d) group of
     (ell, M, r, n) cases at a time."""
-    sweep = _Sweep()
-    grid = grid or {"m_max": 3, "c_max": 12, "m_prime_max": 12,
-                    "ell": [3, 5, 7], "M": [13, 29], "r_max": 8, "n_max": 8}
     vanishing = 0
-    rs = range(1, grid["r_max"] + 1)
-    ns = range(1, grid["n_max"] + 1)
 
-    def case(*witness):
-        return voronoi_case(*witness, tolerance_scale=tolerance_scale)
+    def block_devs(*args):
+        nonlocal vanishing
+        closed = voronoi_char_sums_closed(*args)
+        vanishing += int(np.count_nonzero(closed.value == 0))
+        return _deviation(voronoi_char_sums_raw(*args), closed, tolerance_scale).ravel(), 0.0
 
-    for m in range(1, grid["m_max"] + 1):
-        for c in range(1, grid["c_max"] + 1):
-            for d in [x for x in range(1, c + 1) if c % x == 0]:
-                for m_prime in [x for x in range(1, grid["m_prime_max"] + 1)
-                                if (m * c) % x == 0]:
-                    c1 = math.gcd(m_prime, c // d)
-                    # (ell, M, r) order, so rows x ns flattens in grid order
-                    rows = [(r, ell, M) for ell in grid["ell"] if c1 % ell
-                            for M in grid["M"] if math.gcd(M, c) == 1 for r in rs]
-                    if not rows:
-                        continue
-                    closed = voronoi_char_sums_closed(ns, rows, m, m_prime, c, d)
-                    devs = _deviation(voronoi_char_sums_raw(ns, rows, m, m_prime, c, d),
-                                      closed, tolerance_scale).ravel()
-                    vanishing += int(np.count_nonzero(closed.value == 0))
-
-                    def witness_of(i, m=m, m_prime=m_prime, c=c, d=d, rows=rows):
-                        row, n = divmod(i, len(ns))
-                        r, ell, M = rows[row]
-                        return (ns[n], m, m_prime, c, d, r, ell, M)
-
-                    sweep.offer(devs, 0.0, witness_of, case)
-    return sweep.report("voronoi-char", dict(grid, vanishing_cases=vanishing))
+    sweep = _Sweep().run(voronoi_cases(m_max, c_max, m_prime_max, ell, M, r_max, n_max),
+                         partial(voronoi_case, tolerance_scale=tolerance_scale), block_devs)
+    grid = {"m_max": m_max, "c_max": c_max, "m_prime_max": m_prime_max, "ell": list(ell),
+            "M": list(M), "r_max": r_max, "n_max": n_max, "vanishing_cases": vanishing}
+    return sweep.report("voronoi-char", grid)
 
 
 # ------------------------------------------------------------- twisted split
@@ -373,23 +384,20 @@ def twisted_split_case(n, p, M, r, ell, c, psi_index, tolerance_scale=1.0):
     return dev
 
 
-def suite_twisted_split(grid=None, tolerance_scale=1.0):
-    sweep = _Sweep()
-    grid = grid or {"p": [3, 5], "M": [7, 11], "c_max": 8,
-                    "n": [1, 2], "r": [1, 3], "ell": [2, 5]}
-    for p in grid["p"]:
-        for M in grid["M"]:
-            for c in range(1, grid["c_max"] + 1):
-                for psi_index in range(p - 1):
-                    for n in grid["n"]:
-                        for r in grid["r"]:
-                            for ell in grid["ell"]:
-                                if math.gcd(r * ell, M) != 1:
-                                    continue
-                                sweep.add((n, p, M, r, ell, c, psi_index),
-                                          twisted_split_case(n, p, M, r, ell, c, psi_index,
-                                                             tolerance_scale))
-    return sweep.report("twisted-split", dict(grid))
+def twisted_split_cases(p=(3, 5), M=(7, 11), c_max=8, n=(1, 2), r=(1, 3), ell=(2, 5)):
+    for p_, M_, c in itertools.product(p, M, range(1, c_max + 1)):
+        for psi_index, n_, r_, ell_ in itertools.product(range(p_ - 1), n, r, ell):
+            if math.gcd(r_ * ell_, M_) == 1:
+                yield n_, p_, M_, r_, ell_, c, psi_index
+
+
+def suite_twisted_split(p=(3, 5), M=(7, 11), c_max=8, n=(1, 2), r=(1, 3), ell=(2, 5),
+                        tolerance_scale=1.0):
+    sweep = _Sweep().run(twisted_split_cases(p, M, c_max, n, r, ell),
+                         partial(twisted_split_case, tolerance_scale=tolerance_scale))
+    grid = {"p": list(p), "M": list(M), "c_max": c_max, "n": list(n), "r": list(r),
+            "ell": list(ell)}
+    return sweep.report("twisted-split", grid)
 
 
 # ---------------------------------------------------------------------- weil
@@ -401,22 +409,25 @@ def weil_case(m, n, c):
     return abs(s.value) / (bound + s.est_error)
 
 
+def weil_cases(c_max=2000, pairs_per_c=20, seed=5):
+    expsums.check_budget(max(c_max, 1), expsums.DEFAULT_BUDGET)  # before drawing the grid
+    cs = np.repeat(np.arange(1, c_max + 1, dtype=np.int64), max(pairs_per_c, 0))
+    draws = (Lcg(seed).next_u32_block(2 * cs.size) % np.uint64(10**6)).astype(np.int64) + 1
+    ms, ns = draws[0::2], draws[1::2]  # rng.below, alternating m and n
+    yield (ms, ns, cs), cs.size, lambda i: (int(ms[i]), int(ns[i]), int(cs[i]))
+
+
 def suite_weil(c_max=2000, pairs_per_c=20, seed=5):
     """One kloosterman_screen over the whole grid locates the candidates,
     which weil_case re-evaluates by the fsum route."""
-    expsums.check_budget(max(c_max, 1), expsums.DEFAULT_BUDGET)  # before drawing the grid
-    sweep = _Sweep()
-    rng = Lcg(seed)
-    pairs = max(pairs_per_c, 0)
-    size = 2 * pairs * max(c_max, 0)
-    draws = (rng.next_u32_block(size) % np.uint64(10**6)).astype(np.int64) + 1  # rng.below
-    ms, ns = draws[0::2], draws[1::2]
-    cs = np.repeat(np.arange(1, c_max + 1, dtype=np.int64), pairs)
-    sums, gap, divisors = expsums.kloosterman_screen(ms, ns, cs)
-    # gcd(m, n, c), taking the small c first: fewer Euclid steps, same integers
-    scale = divisors * np.sqrt(np.gcd(np.gcd(ms, cs), ns) * cs) + sums.est_error
-    sweep.offer(np.abs(sums.value) / scale, gap / scale,
-                lambda i: (int(ms[i]), int(ns[i]), int(cs[i])), weil_case)
+
+    def block_devs(ms, ns, cs):
+        sums, gap, divisors = expsums.kloosterman_screen(ms, ns, cs)
+        # gcd(m, n, c), taking the small c first: fewer Euclid steps, same integers
+        scale = divisors * np.sqrt(np.gcd(np.gcd(ms, cs), ns) * cs) + sums.est_error
+        return np.abs(sums.value) / scale, gap / scale
+
+    sweep = _Sweep().run(weil_cases(c_max, pairs_per_c, seed), weil_case, block_devs)
     return sweep.report("weil", {"c_max": c_max, "pairs_per_c": pairs_per_c, "seed": seed})
 
 
@@ -432,16 +443,21 @@ def dsum_cancel_case(M, chi_index, u):
     return abs(d.value) / (2 * math.sqrt(M) + d.est_error)
 
 
+def dsum_cancel_cases(M_max=300):
+    for M in primes_between(2, M_max + 1):
+        yield (M,), (M - 2) * (M - 1), lambda i, M=M: (M, i // (M - 1) + 1, i % (M - 1) + 1)
+
+
 def suite_dsum_cancel(M_max=300):
     """expsums.dsum_screen screens every (chi, u != 0) of a prime M, in
     grid order, with its gap over dsum_cancel_case's bound as slack."""
-    sweep = _Sweep()
-    for M in primes_between(2, M_max + 1):
+
+    def block_devs(M):
         rows, est, gap = expsums.dsum_screen(M)
         bound = 2 * math.sqrt(M) + est
-        devs = (rows[:, 1:] / bound).ravel()  # drop u = 0
-        sweep.offer(devs, gap / bound,
-                    lambda i, M=M: (M, i // (M - 1) + 1, i % (M - 1) + 1), dsum_cancel_case)
+        return (rows[:, 1:] / bound).ravel(), gap / bound  # drop u = 0
+
+    sweep = _Sweep().run(dsum_cancel_cases(M_max), dsum_cancel_case, block_devs)
     return sweep.report("dsum-cancel", {"M_max": M_max})
 
 
@@ -548,17 +564,21 @@ SUITES = {
     "exponent": suite_exponent,
 }
 
+CASES = {"psi-average": psi_average_cases, "reciprocity": reciprocity_cases, "c1": c1_cases,
+         "c2": c2_cases, "c3": c3_cases, "c4": c4_cases, "voronoi-char": voronoi_cases,
+         "twisted-split": twisted_split_cases, "weil": weil_cases,
+         "dsum-cancel": dsum_cancel_cases}
+
 SMOKE_OVERRIDES = {
-    "psi-average": {"grid": {"p": [3], "M": [11], "c_max": 2, "r_max": 3, "m_max": 3}},
+    "psi-average": {"p": (3,), "M": (11,), "c_max": 2, "r_max": 3, "m_max": 3},
     "reciprocity": {"trials": 200},
     "c1": {"c_max": 8},
     "c2": {"M_list": (5,)},
     "c3": {"M_list": (5, 7)},
     "c4": {"instances": 20},
-    "voronoi-char": {"grid": {"m_max": 2, "c_max": 6, "m_prime_max": 6,
-                              "ell": [3], "M": [13], "r_max": 4, "n_max": 4}},
-    "twisted-split": {"grid": {"p": [3], "M": [7], "c_max": 4,
-                               "n": [1], "r": [1], "ell": [2]}},
+    "voronoi-char": {"m_max": 2, "c_max": 6, "m_prime_max": 6, "ell": (3,), "M": (13,),
+                     "r_max": 4, "n_max": 4},
+    "twisted-split": {"p": (3,), "M": (7,), "c_max": 4, "n": (1,), "r": (1,), "ell": (2,)},
     "weil": {"c_max": 200, "pairs_per_c": 5},
     "dsum-cancel": {"M_max": 60},
     "bessel-decay": {"multipliers": (0.5, 4.0)},

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from deltasum import expsums, suites
+from deltasum import expsums
 from deltasum.characters import DirichletCharacter, enumerate_characters, unit_roots
 from deltasum.errors import (
     BudgetExceeded,
@@ -57,7 +57,7 @@ from deltasum.numcore import (
     primes_between,
 )
 from deltasum.scan import Lcg
-from deltasum.suites import run_suite
+from deltasum.suites import CASES, SMOKE_OVERRIDES
 
 
 # ----------------------------------------------------------- oracle helpers
@@ -489,36 +489,32 @@ def _c2_reference(M, chi, p, c, n, ell):
     return lhs, ExpSumValue(closed, M * d.terms, 6 * UNIT_EPS * M * d.terms)
 
 
-def _suite_cases(monkeypatch, suite):
+def _suite_cases(suite):
     """The arguments of every case a c1 or c2 sweep evaluates at the
     default and the smoke grid, in order."""
-    cases = []
-    monkeypatch.setattr(suites, f"{suite}_case", lambda *args: cases.append(args[:-1]) or 0.0)
-    for preset in ("default", "smoke"):
-        run_suite(suite, preset)
-    return cases
+    return [case for grid in ({}, SMOKE_OVERRIDES[suite]) for case in CASES[suite](**grid)]
 
 
-def test_c1_sums_equal_the_per_residue_loop(monkeypatch):
+def test_c1_sums_equal_the_per_residue_loop():
     box = [(c, p, M, 1 + (7 * c + M) % 20, (2, 3, 5)[c % 3])
            for c in range(1, 61) for M in (5, 7, 11, 13, 29) for p in (3, 11)
            if math.gcd(p * M, c) == 1]
     box += [(263, 3, 5, 7, 2), (512, 3, 7, 11, 5)]  # gathered in more than one block
-    cases = _suite_cases(monkeypatch, "c1")
+    cases = _suite_cases("c1")
     assert (len(cases), len(box)) == (48 + 20, 429)
     for case in cases + box:
         want = _c1_reference(*case)
         assert [_bits(v) for v in c1_sums(*case)] == [_bits(v) for v in want], case
 
 
-def test_c2_sums_equal_the_per_residue_loop(monkeypatch):
+def test_c2_sums_equal_the_per_residue_loop():
     # c enters only through (pc)^-1 mod M, so every third c <= 60 suffices
     box = [(M, chi, p, c, 1 + (c * chi.index) % 10, (2, 3, 5)[chi.index % 3])
            for M in (5, 7, 11, 13, 29) for chi in enumerate_characters(M)[1:]
            for c in range(1, 61, 3) for p in [(3, 11, 13)[c % 9 // 3]]
            if math.gcd(p * c, M) == 1]
     cases = [(M, DirichletCharacter.from_index(M, a), *rest)
-             for M, a, *rest in _suite_cases(monkeypatch, "c2")]
+             for M, a, *rest in _suite_cases("c2")]
     assert (len(cases), len(box)) == (27 + 7, 897)
     for case in cases + box:
         want = _c2_reference(*case)

@@ -286,3 +286,46 @@ def test_ceiling_check_sees_keyword_and_positional_ceilings():
         "def suite_f(sweep):\n    return sweep.report('f', {}, ceiling=False)\n")
     assert list(_report_ceilings(tree)) == [
         ("suite_c", "CEILING"), ("suite_d", "4.0"), ("suite_e", "1.5"), ("suite_f", "False")]
+
+
+# One sweep driver: `_Sweep.run` is the one loop over a suite's cases, so in
+# suites.py only it offers blocks, and cases are added one at a time only
+# inside _Sweep and by the two suites that have no enumerator.  A suite with
+# a loop of its own would call .offer( or .add( itself.
+SWEEP_ADDERS = {"_Sweep", "suite_bessel_decay", "suite_exponent"}
+
+
+def _method_callers(tree, attr):
+    """The definition around every .attr( call: a top-level function's name,
+    "Class.method" inside a class, "<module>" anywhere else."""
+    scopes = []
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            scopes += [(f"{top.name}.{getattr(m, 'name', '<body>')}", m) for m in top.body]
+        else:
+            scopes.append((top.name if isinstance(top, ast.FunctionDef) else "<module>", top))
+    for where, scope in scopes:
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == attr:
+                yield where
+
+
+def test_suites_sweep_only_through_sweep_run():
+    tree = ast.parse((PACKAGE / "suites.py").read_text(encoding="utf-8"))
+    assert set(_method_callers(tree, "offer")) == {"_Sweep.run"}
+    adders = set(_method_callers(tree, "add"))
+    assert {where.split(".")[0] for where in adders} <= SWEEP_ADDERS, adders
+
+
+def test_sweep_driver_check_sees_offers_and_adds_outside_run():
+    tree = ast.parse(
+        "class _Sweep:\n"
+        "    def run(self, cases, case):\n        self.offer(cases, 0.0, None, case)\n"
+        "    def offer(self, devs):\n        self.add(None, devs[0])\n"
+        "def suite_a(sweep, cases):\n"
+        "    for w in cases:\n        sweep.add(w, 0.0)\n    sweep.offer([], 0.0, None, None)\n"
+        "def suite_exponent(sweep):\n    sweep.add(None, 0.0, count=6)\n"
+        "seen = set()\nseen.add(1)\n")
+    assert sorted(set(_method_callers(tree, "offer"))) == ["_Sweep.run", "suite_a"]
+    assert sorted(set(_method_callers(tree, "add"))) == [
+        "<module>", "_Sweep.offer", "suite_a", "suite_exponent"]

@@ -1,7 +1,9 @@
 import csv
+import importlib.util
 import inspect
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from deltasum.expsums import (
 from deltasum.numcore import primes_between
 from deltasum.scan import Lcg, ScanReport, append_ledger
 from deltasum.suites import (
+    CASES,
     SMOKE_OVERRIDES,
     SUITES,
     _Sweep,
@@ -41,7 +44,7 @@ CASE_RERUNNERS = {
     "c1": lambda w: c1_case(*w),
     "c2": lambda w: c2_case(*w),
     "c3": lambda w: c3_case(*w),
-    "c4": lambda w: c4_case(tuple(w)),
+    "c4": lambda w: c4_case(*w),
     "voronoi-char": lambda w: voronoi_case(*w),
     "twisted-split": lambda w: twisted_split_case(*w),
     "weil": lambda w: weil_case(*w),
@@ -151,7 +154,8 @@ def test_run_suite_rejects_unknown():
                                            ("weil", "tolerance_scale"),
                                            ("psi-average", "budget"), ("c3", "seed"),
                                            ("dsum-cancel", "ceiling"),
-                                           ("reciprocity", "max_modulus")])
+                                           ("reciprocity", "max_modulus"),
+                                           ("twisted-split", "typo"), ("psi-average", "grid")])
 def test_run_suite_rejects_undeclared_keywords(name, keyword):
     with pytest.raises(InvalidValue, match=keyword):
         run_suite(name, preset="smoke", **{keyword: 1})
@@ -162,6 +166,61 @@ def test_suites_declare_only_what_they_read():
     for name, suite in SUITES.items():
         params = inspect.signature(suite).parameters.values()
         assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params), name
+
+
+def test_partial_grid_takes_the_other_defaults():
+    report = run_suite("psi-average", p=[3])
+    assert report.grid == {"p": [3], "M": [11, 13], "c_max": 6, "r_max": 10, "m_max": 10,
+                           "skipped": 400}  # c = 3 and 6
+    assert report.cases == 800 and report.passed
+
+
+@pytest.mark.parametrize("name, field", [("psi-average", "r_max"), ("voronoi-char", "n_max"),
+                                         ("voronoi-char", "r_max"), ("twisted-split", "c_max")])
+def test_empty_grids_sweep_no_case(name, field):
+    report = run_suite(name, preset="smoke", **{field: 0})
+    assert (report.cases, report.worst_witness, report.passed) == (0, None, True)
+
+
+def _perfbench_workloads():
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_case_enumerators_take_their_suites_keywords():
+    assert set(CASES) == set(SUITES) - {"bessel-decay", "exponent"}
+    params = {name: inspect.signature(suite).parameters for name, suite in SUITES.items()}
+    for name, cases in CASES.items():
+        want = [(key, p.default) for key, p in params[name].items() if key != "tolerance_scale"]
+        got = [(key, p.default) for key, p in inspect.signature(cases).parameters.items()]
+        assert got == want, name
+    seeds = {name: p["seed"].default for name, p in params.items() if "seed" in p}
+    assert _perfbench_workloads().SUITE_SEEDS == seeds  # the benchmark runs these by default
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_sweep_equals_the_case_by_case_sweep_of_its_enumerator(name):
+    """Each case of the enumerator at the smoke grid through its *_case (a
+    block (arguments, size, witness_of) stands for witness_of(0..size-1)),
+    with the sweep's witness rule."""
+    worst, witness, cases = 0.0, None, 0
+    for item in CASES[name](**SMOKE_OVERRIDES[name]):
+        if callable(item[-1]):
+            _args, size, witness_of = item
+            witnesses = map(witness_of, range(size))
+        else:
+            witnesses = [item]
+        for w in witnesses:
+            dev = CASE_RERUNNERS[name](w)
+            if not cases or dev > worst:
+                worst, witness = dev, tuple(w)
+            cases += 1
+    report = run_suite(name, preset="smoke")
+    assert report.max_deviation.hex() == worst.hex()
+    assert (report.worst_witness, report.cases) == (witness, cases)
 
 
 def test_sweep_witness_is_first_case_reaching_the_max():
@@ -293,7 +352,7 @@ def test_voronoi_sweep_matches_case_by_case_reference():
                                     cases += 1
                                     if dev > worst:
                                         worst, witness = dev, args
-    report = run_suite("voronoi-char", grid=grid)
+    report = run_suite("voronoi-char", **grid)
     assert (report.max_deviation, tuple(report.worst_witness)) == (worst, witness)
     assert (report.cases, report.grid["vanishing_cases"]) == (cases, vanishing)
 
@@ -393,7 +452,7 @@ def test_hypot_equals_python_abs_bit_for_bit():
 
 
 @pytest.mark.parametrize("grid, skips", [
-    (SMOKE_OVERRIDES["psi-average"]["grid"], 0),
+    (SMOKE_OVERRIDES["psi-average"], 0),
     ({"p": [3, 5], "M": [7], "c_max": 4, "r_max": 4, "m_max": 3}, 12),  # c = 3 at p = 3
 ])
 def test_psi_average_sweep_matches_case_by_case_reference(grid, skips):
@@ -410,7 +469,7 @@ def test_psi_average_sweep_matches_case_by_case_reference(grid, skips):
                         cases += 1
                         if witness is None or dev > worst:
                             worst, witness = dev, (r, m, c, p, M)
-    report = run_suite("psi-average", grid=grid)
+    report = run_suite("psi-average", **grid)
     assert (report.max_deviation, tuple(report.worst_witness)) == (worst, witness)
     assert (report.cases, report.grid["skipped"]) == (cases, skipped)
     assert skipped == skips
