@@ -47,9 +47,11 @@ batched integrand call per chunk of at most _MAX_BATCH_NODES nodes, then
 accepts or splits each panel.  The initial grid counts as level 0: a
 level that would need more than _MAX_PANELS panels raises
 QuadratureNonConvergence, so memory stays bounded however small c or tol
-is.  Panel sums add the nodes in Gauss-Legendre order, and the value and
-error estimate are combined in the depth-first order of the recursive
-rule, so both are bit-identical to evaluating the panels one by one.
+is.  A panel narrower than 1e-13 is always accepted, so the loop ends
+after at most 45 levels on any support in (0, 4] split into at least 4
+panels.  Panel sums add the nodes in Gauss-Legendre order; the value and
+the error estimate are fsums of the accepted panels, correctly rounded
+and so independent of the order of panels, levels and chunks.
 
 The module only computes: the kernels, the window, the integral, the
 truncation scale of transition_cutoff and the toy preset.  Sweeping a
@@ -68,7 +70,6 @@ from .errors import InvalidValue, QuadratureNonConvergence
 
 MAX_BESSEL_ORDER = 200
 _GL_ORDER = 15
-_MAX_DEPTH = 48
 _MAX_BATCH_NODES = 8192  # integrand nodes per batched call
 _MAX_PANELS = 2**17  # pending panels per bisection level
 
@@ -423,16 +424,18 @@ def _panel_values(f, a, b):
     return out
 
 
-def _bisect(f, a, b, tol, depth):
-    """Adaptive rule on the consecutive panels [a[i], b[i]], level by level.
+def _adaptive(f, edges, tol):
+    """Adaptive Gauss-Legendre integral of f over the consecutive panels
+    between edges, level by level.
 
-    Each panel is compared with its two halves and accepted when they
-    differ by at most tol, or when it is narrower than 1e-13; otherwise
-    both halves are bisected again with tol halved, at most depth times.
-    Returns the value of each given panel and the accepted differences in
-    depth-first (left to right) order.
+    f maps a 1-D array of nodes to the complex integrand there.  Each panel
+    is compared with its two halves and accepted when they differ by at
+    most tol, or when it is narrower than 1e-13; otherwise both halves go
+    to the next level with tol halved.  Returns (value, error estimate):
+    the fsums of the accepted halves and of their differences.
     """
-    levels = []
+    a, b = np.asarray(edges[:-1], float), np.asarray(edges[1:], float)
+    values, diffs = [], []
     while a.size:
         mid = 0.5 * (a + b)
         both = _panel_values(f, np.concatenate([a, a, mid]), np.concatenate([b, mid, b]))
@@ -441,45 +444,17 @@ def _bisect(f, a, b, tol, depth):
         d = whole - halves
         diff = np.hypot(d.real, d.imag)  # libm's hypot, which abs(complex) calls too
         done = (diff <= tol) | ((b - a) < 1e-13)
-        levels.append((a, halves, diff, done))
+        values.append(halves[done])
+        diffs.append(diff[done])
         split = np.flatnonzero(~done)
-        if split.size and depth <= 0:
-            i = split[0]
-            raise QuadratureNonConvergence(
-                f"panel [{float(a[i])}, {float(b[i])}] stalled at error {diff[i]}")
         if 2 * split.size > _MAX_PANELS:
             raise QuadratureNonConvergence(
                 f"bisection needs {2 * split.size} panels in one level (limit {_MAX_PANELS})")
         a = np.stack([a[split], mid[split]], axis=1).ravel()
         b = np.stack([mid[split], b[split]], axis=1).ravel()
         tol /= 2
-        depth -= 1
-    value = None
-    for _, halves, _, done in reversed(levels):  # a split panel is the sum of its halves
-        if value is not None:
-            halves = halves.copy()
-            halves[~done] = value[0::2] + value[1::2]
-        value = halves
-    starts = np.concatenate([lo[done] for lo, _, _, done in levels])
-    diffs = np.concatenate([diff[done] for _, _, diff, done in levels])
-    return value, diffs[np.argsort(starts, kind="stable")]
-
-
-def _adaptive(f, edges, tol, depth=_MAX_DEPTH):
-    """Adaptive Gauss-Legendre integral of f over consecutive panels.
-
-    f maps a 1-D array of nodes to the complex integrand there.  Returns
-    (value, sum of the accepted differences), both added in the depth-first
-    order of the recursive rule.
-    """
-    edges = np.asarray(edges, dtype=float)
-    values, diffs = _bisect(f, edges[:-1], edges[1:], tol, depth)
-    total, err = 0j, 0.0
-    for v in values:
-        total += v
-    for d in diffs:
-        err += d
-    return total, err
+    v, e = np.concatenate(values), np.concatenate(diffs)
+    return complex(math.fsum(v.real.tolist()), math.fsum(v.imag.tolist())), math.fsum(e.tolist())
 
 
 def integral_value_and_error(params, window, tol=1e-12):

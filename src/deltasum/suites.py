@@ -183,13 +183,14 @@ def reciprocity_case(a, b, n):
 
 
 RECIPROCITY_MAX_MODULUS = 10**6  # a, b and n are drawn from 1..this
+RECIPROCITY_MAX_TRIALS = 10**6  # about 15 s at some 15 us per trial
 
 
 def reciprocity_cases(trials=10**4, seed=1):
     if trials < 1:
         raise InvalidValue(f"trials must be at least 1, got {trials}")
-    if trials > expsums.DEFAULT_BUDGET:
-        raise BudgetExceeded(f"{trials} trials exceed the budget {expsums.DEFAULT_BUDGET}")
+    if trials > RECIPROCITY_MAX_TRIALS:
+        raise BudgetExceeded(f"{trials} trials exceed the budget {RECIPROCITY_MAX_TRIALS}")
     rng, drawn = Lcg(seed), 0
     while drawn < trials:
         a = 1 + rng.below(RECIPROCITY_MAX_MODULUS)
@@ -201,7 +202,7 @@ def reciprocity_cases(trials=10**4, seed=1):
 
 def suite_reciprocity(trials=10**4, seed=1):
     """Exact Q/Z reciprocity at seeded coprime (a, b) and n.  Fewer than one
-    trial raises InvalidValue, more than expsums.DEFAULT_BUDGET
+    trial raises InvalidValue, more than RECIPROCITY_MAX_TRIALS
     BudgetExceeded, both before any draw."""
     sweep = _Sweep().run(reciprocity_cases(trials, seed), reciprocity_case)
     grid = {"trials": trials, "seed": seed, "max_modulus": RECIPROCITY_MAX_MODULUS}
@@ -586,23 +587,40 @@ SMOKE_OVERRIDES = {
 }
 
 
+def _fits(value, default):
+    """Whether value may replace default: an int (not a bool) for an int, an
+    int or float (not a bool) for a float, and a list or tuple of such for a
+    tuple, each item judged by the tuple's first."""
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) and all(_fits(v, default[0]) for v in value)
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int if isinstance(default, int) else (int, float))
+
+
 def run_suite(name, preset="default", **kwargs):
     """Run one suite at a grid preset; keywords override the suite's own.
 
     A keyword given as None counts as not given.  Any other keyword the
     suite does not declare raises InvalidValue: no setting is ignored.  So
-    does a tolerance_scale that is not finite and > 0.
+    does a value that does not fit its keyword's default (_fits), and a
+    tolerance_scale that is not finite and > 0.
     """
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
     if preset not in ("default", "smoke"):
         raise KeyError(f"unknown grid preset {preset!r}")
     suite = SUITES[name]
+    params = inspect.signature(suite).parameters
     given = {key: value for key, value in kwargs.items() if value is not None}
-    undeclared = sorted(set(given) - set(inspect.signature(suite).parameters))
+    undeclared = sorted(set(given) - set(params))
     if undeclared:
         flags = ", ".join(f"{key} (--{key.replace('_', '-')})" for key in undeclared)
         raise InvalidValue(f"suite {name!r} does not take {flags}")
+    for key, value in given.items():
+        if not _fits(value, params[key].default):
+            raise InvalidValue(f"suite {name!r} takes {key} of the type of its default "
+                               f"{params[key].default!r}, got {value!r}")
     scale = given.get("tolerance_scale", 1.0)
     if not (scale > 0 and math.isfinite(scale)):  # a scale <= 0 would switch every check off
         raise InvalidValue(f"tolerance_scale must be finite and > 0, got {scale}")

@@ -186,9 +186,9 @@ def test_transcendental_check_sees_attributes_and_imports():
     assert sorted(_numpy_transcendentals(tree)) == ["np.exp", "numpy.cos", "numpy.power"]
 
 
-# One reduction rule: every reported sum in expsums is an fsum (fsum_rows)
-# of its summands.  No numpy or builtin sum reduces a value, and no float or
-# complex accumulator adds terms one by one.
+# One reduction rule: every reported sum in expsums and oscillatory is an fsum
+# of its summands (fsum_rows in expsums).  No numpy or builtin sum reduces a
+# value, and no float or complex accumulator adds terms one by one.
 SUM_CALLS = {"sum", "np.add.reduce", "numpy.add.reduce"}
 
 
@@ -232,6 +232,19 @@ def _other_reductions(tree):
 def test_expsums_reduces_every_sum_by_fsum():
     tree = ast.parse((PACKAGE / "expsums.py").read_text(encoding="utf-8"))
     assert sorted(set(_other_reductions(tree))) == []
+
+
+# Kernel steps, not reported sums: the Hankel series' two partial sums and
+# Miller's normalization are steps of the Bessel recurrence whose order the
+# scalar/array bit-for-bit tests pin.  The window integral's value and error
+# estimate are reported sums, so they are fsums like every other.
+OSCILLATORY_KERNEL_ACCUMULATORS = [("_hankel_j", "p_sum +="), ("_hankel_j", "q_sum +="),
+                                   ("_miller_run", "norm +=")]
+
+
+def test_oscillatory_reduces_every_reported_sum_by_fsum():
+    tree = ast.parse((PACKAGE / "oscillatory.py").read_text(encoding="utf-8"))
+    assert sorted(set(_other_reductions(tree))) == OSCILLATORY_KERNEL_ACCUMULATORS
 
 
 def test_reduction_check_sees_sum_calls_and_literal_accumulators():

@@ -165,7 +165,7 @@ def test_window_values_equal_scalar_formula_bit_for_bit(kind, theta, M):
 def test_integral_empty_support_is_zero():
     from deltasum.oscillatory import _adaptive
 
-    val, _ = _adaptive(lambda y: np.ones(y.size, dtype=complex), [2.0, 2.0], 1e-12, 5)
+    val, _ = _adaptive(lambda y: np.ones(y.size, dtype=complex), [2.0, 2.0], 1e-12)
     assert abs(val) < 1e-15
 
 
@@ -178,7 +178,26 @@ def test_quadrature_non_convergence_raises():
     from deltasum.oscillatory import _adaptive
 
     with pytest.raises(QuadratureNonConvergence):
-        _adaptive(_jagged, [1e-6, 1.0], 1e-300, 3)
+        _adaptive(_jagged, [1e-6, 1.0], 1e-300)
+
+
+def test_level_loop_ends_without_a_depth_limit(monkeypatch):
+    """A step that no panel resolves: every panel across it is accepted once
+    it is narrower than 1e-13, after at most 45 levels."""
+    from deltasum import oscillatory
+
+    levels = []
+    panel_values = oscillatory._panel_values
+
+    def spy(f, a, b):
+        levels.append(a.size // 3)
+        return panel_values(f, a, b)
+
+    monkeypatch.setattr(oscillatory, "_panel_values", spy)
+    value, err = oscillatory._adaptive(lambda y: (y > 0.3).astype(complex), [0.0, 0.5, 1.0],
+                                       1e-300)
+    assert len(levels) <= 45
+    assert abs(value - 0.7) <= err
 
 
 def test_bisection_panel_limit_raises(monkeypatch):
@@ -214,11 +233,11 @@ def test_integral_rejects_bad_tolerance(tol):
         integral_value_and_error(params, WindowFunction("plateau", 1.0 / 154.0), tol)
 
 
-def _recursive_rule(f, edges, tol, depth=48):
-    """The panel-by-panel recursive rule that the level-synchronous loop
-    replaced: (value, sum of the accepted differences), depth first."""
+def _recursive_rule(f, edges, tol):
+    """The panel-by-panel recursive rule: (value, error estimate), the fsums
+    of the accepted halves left + right and of their differences."""
     x, w = np.polynomial.legendre.leggauss(15)
-    err_acc = [0.0]
+    values, diffs = [], []
 
     def panel(a, b):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
@@ -227,20 +246,21 @@ def _recursive_rule(f, edges, tol, depth=48):
             total += wi * f(mid + half * xi)
         return half * total
 
-    def adapt(a, b, tol, depth):
+    def adapt(a, b, tol):
         mid = 0.5 * (a + b)
         whole, left, right = panel(a, b), panel(a, mid), panel(mid, b)
         diff = abs(whole - (left + right))
         if diff <= tol or (b - a) < 1e-13:
-            err_acc[0] += diff
-            return left + right
-        assert depth > 0
-        return adapt(a, mid, tol / 2, depth - 1) + adapt(mid, b, tol / 2, depth - 1)
+            values.append(left + right)
+            diffs.append(diff)
+        else:
+            adapt(a, mid, tol / 2)
+            adapt(mid, b, tol / 2)
 
-    total = 0j
     for a, b in zip(edges[:-1], edges[1:]):
-        total += adapt(float(a), float(b), tol, depth)
-    return total, err_acc[0]
+        adapt(float(a), float(b), tol)
+    return (complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values)),
+            math.fsum(diffs))
 
 
 @pytest.mark.parametrize("c, tol", [(8.0, 1e-15), (15.0, 1e-14)])

@@ -162,6 +162,14 @@ def test_run_suite_rejects_undeclared_keywords(name, keyword):
     run_suite(name, preset="smoke", **{keyword: None})  # None means not given
 
 
+@pytest.mark.parametrize("name, keyword, value", [
+    ("c3", "M_list", 5), ("psi-average", "p", 3), ("twisted-split", "c_max", 2.5),
+    ("weil", "seed", 1.5), ("c1", "c_max", True), ("reciprocity", "trials", 2.5)])
+def test_run_suite_rejects_values_that_do_not_fit_the_default(name, keyword, value):
+    with pytest.raises(InvalidValue, match=keyword):
+        run_suite(name, preset="smoke", **{keyword: value})
+
+
 def test_suites_declare_only_what_they_read():
     for name, suite in SUITES.items():
         params = inspect.signature(suite).parameters.values()
